@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import analyzer, birational, ewald, gallery, intersection, mori
-from .fan import Fan, MalformedInput, NotAWall, NotComplete, picard_number, validate, walls
+from .fan import Fan, MalformedInput, picard_number, validate, walls
 
 
 def _load_fan(path: str) -> Fan:
@@ -263,18 +263,7 @@ def run(argv=None) -> int:
     except analyzer.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (
-        _PropertyFailure,
-        NotComplete,
-        NotAWall,
-        birational.NotAFace,
-        birational.SumMismatch,
-        birational.BadStarShape,
-        birational.ResultSingular,
-        ewald.VMismatch,
-        ewald.NoSuitableDivisor,
-        ValueError,
-    ) as exc:
+    except (_PropertyFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,12 @@
 A fan is stored as primitive ray generators plus maximal cones given as index
 sets.  Validation certifies smoothness (unimodular maximal cones),
 completeness (every wall bounds exactly two maximal cones) and the fan
-property (pairwise intersections of cones are common faces); the three checks
-together certify that the data describes a smooth complete toric variety.
+property (cones meet in common faces); the three checks together certify
+that the data describes a smooth complete toric variety.  For complete data
+the fan property is decided locally, from the orientations of the two cones
+on each wall and the number of cones containing one generic point; pairwise
+cone intersections are examined only for incomplete data and to name the
+offending pairs of a rejected fan.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .lattice import (
     primitive_vector,
     unimodular_inverse,
     vdot,
+    vscale,
+    vsum,
 )
 
 
@@ -30,13 +36,10 @@ class MalformedInput(ValueError):
 
 
 def _exact_int(value, what: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"{what} {value!r} is not an integer") from None
-    if out != value:
+    # bool is a subclass of int, and JSON true/false or 1.0 must not pass
+    if type(value) is not int:
         raise MalformedInput(f"{what} {value!r} is not an integer")
-    return out
+    return value
 
 
 class NotComplete(ValueError):
@@ -61,7 +64,7 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
+        if _exact_int(self.dim, "dimension") < 1:
             raise MalformedInput(f"dimension must be positive, got {self.dim}")
         rays = []
         for r in self.rays:
@@ -89,9 +92,6 @@ class Fan:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cone_vectors(self, cone):
-        return [self.rays[i] for i in cone]
-
     def __eq__(self, other):
         if not isinstance(other, Fan):
             return NotImplemented
@@ -117,7 +117,7 @@ class Fan:
             cones = data["max_cones"]
         except (TypeError, KeyError) as exc:
             raise MalformedInput(f"fan file is missing field {exc}") from None
-        if not isinstance(dim, int) or not isinstance(rays, list) or not isinstance(cones, list):
+        if type(dim) is not int or not isinstance(rays, list) or not isinstance(cones, list):
             raise MalformedInput("fan file fields have the wrong types")
         try:
             return cls(dim, tuple(tuple(r) for r in rays), tuple(tuple(c) for c in cones))
@@ -185,6 +185,33 @@ def validate(f: Fan) -> ValidationReport:
 
 @lru_cache(maxsize=None)
 def _validate_raw(dim, rays, cones):
+    """Validation of raw fan data.
+
+    The fan property of complete data whose cones all have non-zero
+    determinant is decided locally: such data is a fan iff
+    (a) every wall lies in exactly two cones (completeness),
+    (b) the two cones on every wall lie on opposite sides of it, and
+    (c) a generic point lies in exactly one cone.
+    This is the degree-one case of the degree of a multi-fan (Hattori-Masuda,
+    "Theory of multi-fans", Osaka J. Math. 40, 2003).
+
+    Argument: by (a) the cones form a pseudomanifold K, mapped to the unit
+    sphere so that each cone goes homeomorphically onto a spherical simplex.
+    Orient each cone so that this map preserves orientation; by (b) these
+    orientations agree across every wall, so every preimage of a generic
+    point counts +1 and the number of preimages does not change along paths
+    that avoid the images of the codimension-two faces, which do not
+    disconnect the sphere.  Each connected component of K therefore covers
+    the whole sphere and contributes at least 1, so a count of 1 leaves one
+    component, of degree 1.  By induction on dimension the link of every
+    face is then a complete fan, so the map is open and locally injective: a
+    one-sheeted covering, hence injective, and cones meet exactly in their
+    common faces.  Conversely every complete fan satisfies (a)-(c).
+
+    The local verdict stands when it accepts.  The pairwise face test runs
+    only on incomplete or degenerate data, where the argument does not
+    apply, and after a local rejection, to name the pairs that overlap.
+    """
     failures = []
     dets = {}
     smooth = True
@@ -198,7 +225,8 @@ def _validate_raw(dim, rays, cones):
     complete = bool(cones)
     if not cones:
         failures.append("fan has no maximal cones")
-    for facet, adjacent in _facet_map(dim, cones).items():
+    facets = _facet_map(dim, cones)
+    for facet, adjacent in facets.items():
         if len(adjacent) != 2:
             complete = False
             failures.append(f"wall {facet} bounds {len(adjacent)} maximal cones")
@@ -212,16 +240,71 @@ def _validate_raw(dim, rays, cones):
     degenerate = {c for c, d in dets.items() if d == 0}
     if degenerate:
         proper = False
-    normals = {c: _facet_normals(rays, c, dets[c]) for c in cones if c not in degenerate}
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            sa, sb = cones[a], cones[b]
-            if sa in degenerate or sb in degenerate:
-                continue
-            if not _pair_is_face(rays, sa, sb, normals[sa], normals[sb]):
-                proper = False
-                failures.append(f"cones {sa} and {sb} do not meet in a common face")
+    local = complete and not degenerate
+    if local and _locally_proper(rays, cones, dets, facets):
+        return ValidationReport(smooth, complete, proper, tuple(failures))
+    live = [c for c in cones if c not in degenerate]
+    normals = {c: _facet_normals(rays, c, dets[c]) for c in live}
+    bad = [
+        (sa, sb)
+        for sa, sb in itertools.combinations(live, 2)
+        if not _pair_is_face(rays, sa, sb, normals[sa], normals[sb])
+    ]
+    if local and not bad:
+        raise AssertionError("local fan-property check rejected a fan whose cones pairwise meet in faces")
+    if bad:
+        proper = False
+        failures.extend(f"cones {sa} and {sb} do not meet in a common face" for sa, sb in bad)
     return ValidationReport(smooth, complete, proper, tuple(failures))
+
+
+def _locally_proper(rays, cones, dets, facets):
+    """Conditions (b) and (c) of `_validate_raw` on complete, non-degenerate data."""
+    for wall, ((c1, a1), (c2, a2)) in facets.items():
+        if _side(wall, a1, dets[c1]) == _side(wall, a2, dets[c2]):
+            return False
+    return _covering_number(rays, cones, dets) == 1
+
+
+def _side(wall, apex, det):
+    """Sign of det(wall rays..., apex), as a bool, from the determinant `det`
+    of the sorted cone: moving the apex last passes the wall rays above it."""
+    flips = sum(1 for i in wall if i > apex)
+    return (det > 0) == (flips % 2 == 0)
+
+
+def _covering_number(rays, cones, dets):
+    """Number of cones containing p = sum_k m^k u_k (u_k the rays of the
+    first cone) in their interior, for the least m >= 2 that puts p on the
+    boundary of no cone.  Such an m exists: each Cramer numerator below is a
+    non-zero polynomial in m, since the first cone spans the space."""
+    base = [rays[i] for i in cones[0]]
+    m = 2
+    while True:
+        p = vsum(vscale(m**k, u) for k, u in enumerate(base))
+        count = 0
+        for cone in cones:
+            where = _locate(rays, cone, dets[cone], p)
+            if where is None:
+                break
+            count += where
+        else:
+            return count
+        m += 1
+
+
+def _locate(rays, cone, det, p):
+    """1 if p is interior to the cone, 0 if outside it, None if on its
+    boundary: the signs of p's Cramer coordinates det(cone, row k := p)/det."""
+    mat = [rays[i] for i in cone]
+    on_boundary = False
+    for k in range(len(mat)):
+        s = determinant(mat[:k] + [p] + mat[k + 1 :])
+        if s == 0:
+            on_boundary = True
+        elif (s > 0) != (det > 0):
+            return 0
+    return None if on_boundary else 1
 
 
 def _facet_normals(rays, cone, det):

@@ -29,10 +29,6 @@ class WallRelation:
     coeffs: tuple[int, ...]
 
     @property
-    def curve_class(self) -> CurveClass:
-        return self.coeffs
-
-    @property
     def normal_degrees(self) -> tuple[int, ...]:
         """The degrees a_i at the wall's own rays, in wall-ray order."""
         return tuple(self.coeffs[i] for i in self.wall.rays)

@@ -30,14 +30,6 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
-
-
 def vscale(c, u):
     return tuple(c * a for a in u)
 

@@ -19,7 +19,7 @@ from math import gcd
 
 from .fan import Fan, Wall, walls
 from .intersection import CurveClass, all_relations, anticanonical_degree, wall_relation
-from .lattice import phase_one, rational_rank, vdot
+from .lattice import phase_one, vdot
 
 
 class NotExtremal(ValueError):
@@ -214,8 +214,3 @@ def mori_extremal_classes(f: Fan):
         if anticanonical_degree(wall_relation(f, ws[0])) > 0:
             out.append((vec, ws))
     return tuple(out)
-
-
-def class_matrix_rank(f: Fan) -> int:
-    """Rank of the matrix of all wall classes (equals the Picard number)."""
-    return rational_rank([list(rel.coeffs) for rel in all_relations(f)])

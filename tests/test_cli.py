@@ -146,3 +146,18 @@ def test_invariant_violation_exits_3(capsys, fan_file, oda, monkeypatch):
     monkeypatch.setattr(cli_mod.analyzer, "analyze_pair", boom)
     path = fan_file("oda.json", oda.fan)
     assert run(["analyze", path, "--curve", "1,4"]) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": true, "rays": [[true]], "max_cones": [[0]]}',
+        '{"dim": 1, "rays": [[1.0], [-1]], "max_cones": [[0], [1]]}',
+        '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [true]]}',
+    ],
+)
+def test_json_booleans_and_floats_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "coerced.json"
+    path.write_text(text)
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().out == ""

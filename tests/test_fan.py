@@ -140,3 +140,24 @@ def test_lattice_isomorphism(p2):
     m = lattice_isomorphism(skewed, p2)
     assert m is not None
     assert lattice_isomorphism(p2, get_fan("hirzebruch", 1).fan) is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": True, "rays": [[True]], "max_cones": [[0]]},
+        {"dim": 1, "rays": [[True], [-1]], "max_cones": [[0], [1]]},
+        {"dim": 1, "rays": [[1.0], [-1]], "max_cones": [[0], [1]]},
+        {"dim": 1, "rays": [[1], [-1]], "max_cones": [[False], [1]]},
+        {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0.0], [1]]},
+        {"dim": 2.0, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+    ],
+)
+def test_json_booleans_and_floats_are_not_integers(data):
+    with pytest.raises(MalformedInput):
+        Fan.from_json(json.dumps(data))
+
+
+def test_constructor_rejects_non_integer_dimension():
+    with pytest.raises(MalformedInput):
+        Fan(True, ((1,), (-1,)), ((0,), (1,)))

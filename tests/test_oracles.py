@@ -1,17 +1,23 @@
 """Differential tests for the exact deciders.
 
 The production feasibility kernel (phase-one simplex) is cross-checked
-against Fourier-Motzkin elimination on random systems, and the pairwise
+against Fourier-Motzkin elimination on random systems, the pairwise
 fan-property test is cross-checked against a brute-force extreme-ray
-enumeration in dimension three.
+enumeration in dimension three, and the local fan-property criterion of
+`validate` is cross-checked against the all-pairs face test on a seeded
+corpus of complete fans and their mutants.
 """
 
 import itertools
+import math
 import random
 
 from fm_oracle import feasible_geq_one
-from toricfan.fan import Fan, _facet_normals, _pair_is_face, validate
-from toricfan.lattice import determinant, phase_one, vdot
+from toricfan.birational import star_subdivision
+from toricfan.ewald import ewald_blow_down, suspend
+from toricfan.fan import Fan, MalformedInput, _facet_map, _facet_normals, _pair_is_face, validate
+from toricfan.gallery import get_fan
+from toricfan.lattice import determinant, phase_one, primitive_vector, vdot
 
 
 def _lp_feasible_geq_one(matrix):
@@ -167,3 +173,146 @@ def test_random_surface_fans_validate():
                 cones[0] = c
                 broken = Fan(2, f.rays, tuple(cones))
                 assert not validate(broken).valid
+
+
+def _all_pairs_report(f):
+    """The validation report as decided by testing every pair of cones with
+    `_pair_is_face`: the oracle for the local fan-property criterion."""
+    rays, cones = f.rays, f.max_cones
+    dets = {c: determinant([rays[i] for i in c]) for c in cones}
+    failures = [f"cone {c} has determinant {d}" for c, d in dets.items() if abs(d) != 1]
+    smooth = not failures
+    complete = bool(cones)
+    if not cones:
+        failures.append("fan has no maximal cones")
+    for facet, adjacent in _facet_map(f.dim, cones).items():
+        if len(adjacent) != 2:
+            complete = False
+            failures.append(f"wall {facet} bounds {len(adjacent)} maximal cones")
+    used = set(itertools.chain.from_iterable(cones))
+    unused = [i for i in range(len(rays)) if i not in used]
+    failures += [f"ray {i} is not a face of any maximal cone" for i in unused]
+    live = [c for c in cones if dets[c] != 0]
+    normals = {c: _facet_normals(rays, c, dets[c]) for c in live}
+    bad = [
+        (sa, sb)
+        for sa, sb in itertools.combinations(live, 2)
+        if not _pair_is_face(rays, sa, sb, normals[sa], normals[sb])
+    ]
+    failures += [f"cones {sa} and {sb} do not meet in a common face" for sa, sb in bad]
+    proper = not unused and len(live) == len(cones) and not bad
+    return smooth, complete, proper, tuple(failures)
+
+
+def _winding_multifan(rng, dim):
+    """A cycle of 2-d cones turning twice around the origin, joined with the
+    two directions of each further coordinate up to `dim`: every wall lies in
+    exactly two cones, with opposite orientations, yet every generic point
+    lies in two cones."""
+    while True:
+        n = rng.randint(5, 7)
+        angles = [0.0] + sorted(rng.uniform(0, 4 * math.pi) for _ in range(n - 1))
+        gaps = [b - a for a, b in zip(angles, angles[1:] + [4 * math.pi])]
+        rays = [primitive_vector((round(9 * math.cos(t)), round(9 * math.sin(t)))) for t in angles]
+        turns = [rays[i][0] * rays[(i + 1) % n][1] - rays[i][1] * rays[(i + 1) % n][0] for i in range(n)]
+        if len(set(rays)) == n and max(gaps) < 3 and all(t > 0 for t in turns):
+            break
+    cones = [(i, (i + 1) % n) for i in range(n)]
+    for d in range(2, dim):
+        up, down = len(rays), len(rays) + 1
+        rays = [r + (0,) for r in rays] + [(0,) * d + (1,), (0,) * d + (-1,)]
+        cones = [c + (up,) for c in cones] + [c + (down,) for c in cones]
+    return Fan(dim, tuple(rays), tuple(cones))
+
+
+def _differential_corpus(seed=2024, size=40):
+    """Seeded fans in dims 2-5 (star chains and Ewald lifts of gallery fans),
+    each followed by two mutants: a negated ray and a perturbed coordinate;
+    then winding multi-fans of degree at least two in dims 2-4."""
+    rng = random.Random(seed)
+    bases = [
+        get_fan("pn", 2).fan,
+        get_fan("hirzebruch", 2).fan,
+        get_fan("pn", 3).fan,
+        get_fan("oda3").fan,
+        get_fan("xab", 1, 2).fan,
+        get_fan("pn", 4).fan,
+    ]
+    out = []
+    for _ in range(size):
+        f = rng.choice(bases)
+        for _ in range(rng.randint(0, 2)):
+            cone = rng.choice(f.max_cones)
+            f = star_subdivision(f, tuple(sorted(rng.sample(cone, rng.randint(2, f.dim))))).result
+        if f.dim < 5 and rng.random() < 0.5:
+            r = rng.randrange(f.n_rays)
+            f = ewald_blow_down(suspend(f, f.rays[r]), r)
+        out.append(f)
+        r = rng.randrange(f.n_rays)
+        negated = tuple(-a for a in f.rays[r])
+        r2, k = rng.randrange(f.n_rays), rng.randrange(f.dim)
+        shifted = tuple(a + (rng.choice((-1, 1)) if i == k else 0) for i, a in enumerate(f.rays[r2]))
+        for i, ray in ((r, negated), (r2, shifted)):
+            try:
+                out.append(Fan(f.dim, f.rays[:i] + (ray,) + f.rays[i + 1 :], f.max_cones))
+            except MalformedInput:
+                pass  # zero or duplicate ray
+    out.extend(_winding_multifan(rng, dim) for dim in (2, 2, 3, 3, 4))
+    return out
+
+
+def test_local_fan_property_agrees_with_all_pairs_oracle():
+    checked = improper = 0
+    dims = set()
+    for f in _differential_corpus():
+        if any(determinant([f.rays[i] for i in c]) == 0 for c in f.max_cones):
+            continue
+        expected = _all_pairs_report(f)
+        if not expected[1]:
+            continue
+        report = validate(f)
+        assert (report.smooth, report.complete, report.proper, report.failures) == expected, f.to_json()
+        checked += 1
+        improper += not expected[2]
+        dims.add(f.dim)
+    assert checked >= 90
+    assert improper >= 30
+    assert dims == {2, 3, 4, 5}
+
+
+def test_degree_two_multifan_is_complete_but_not_proper():
+    # five rays about 144 degrees apart: the cycle of cones winds twice
+    rays = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
+    f = Fan(2, rays, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    assert all(len(adjacent) == 2 for adjacent in _facet_map(2, f.max_cones).values())
+    report = validate(f)
+    assert report.complete and not report.proper
+    assert report.failures == _all_pairs_report(f)[3]
+
+
+def test_generic_point_moves_off_cone_boundaries():
+    # a twice-winding cycle whose first trial point u0 + 2 u1 = (1, 2) is a
+    # ray: it lies on the boundary of two cones and must not decide the count
+    rays = ((1, 0), (0, 1), (-3, -1), (2, -3), (1, 2), (-5, 1), (1, -5))
+    f = Fan(2, rays, tuple((i, (i + 1) % 7) for i in range(7)))
+    report = validate(f)
+    assert report.complete and not report.proper
+    assert report.failures == _all_pairs_report(f)[3]
+
+
+def test_valid_tower_level_validates_without_lp(monkeypatch):
+    import toricfan.fan as fan_mod
+
+    f = get_fan("ewald-tower", 2).fan
+    calls = []
+    for name in ("phase_one", "_facet_normals", "unimodular_inverse"):
+        original = getattr(fan_mod, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(fan_mod, name, counting)
+    report = fan_mod._validate_raw.__wrapped__(f.dim, f.rays, f.max_cones)
+    assert report.valid
+    assert calls == []
