@@ -6,7 +6,7 @@ Every command reads and writes the canonical fan schema
 rationals rendered as exact "p/q" strings; a one-line human summary goes to
 stderr.  Exit codes: 0 success, 1 a property check failed (for example an
 invalid fan), 2 malformed input, 3 a structural invariant was violated
-during analysis.
+during analysis or a result failed its exact re-verification.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def run(argv=None) -> int:
     except (MalformedInput, gallery.UnknownName, gallery.BadParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except analyzer.InvariantViolation as exc:
+    except (analyzer.InvariantViolation, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (_PropertyFailure, ValueError) as exc:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import (
     ZeroVector,
     determinant,
     phase_one,
     primitive_vector,
+    rational_inverse,
     unimodular_inverse,
     vdot,
     vscale,
@@ -92,15 +92,17 @@ class Fan:
     def n_rays(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def _derived(self) -> dict:
+        return _memo(self.dim, self.rays, self.max_cones)
+
     def __eq__(self, other):
         if not isinstance(other, Fan):
             return NotImplemented
-        return _canonical_form(self.dim, self.rays, self.max_cones) == _canonical_form(
-            other.dim, other.rays, other.max_cones
-        )
+        return derived(self, _canonical_form) == derived(other, _canonical_form)
 
     def __hash__(self):
-        return hash(_canonical_form(self.dim, self.rays, self.max_cones))
+        return hash(derived(self, _canonical_form))
 
     def to_dict(self) -> dict:
         return {
@@ -138,13 +140,36 @@ class Fan:
         return cls.from_dict(data)
 
 
-@lru_cache(maxsize=None)
-def _canonical_form(dim, rays, cones):
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
+MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _memo(dim, rays, cones) -> dict:
+    """The derived data of one fan's (canonicalized) data.
+
+    Keyed by the raw data, not by fan equality: walls and relations are
+    indexed by ray, and equality ignores the ray order.  Fans built from
+    equal data share one dict; at most MEMO_SIZE dicts are kept, and a fan
+    keeps the one it bound after it is evicted.
+    """
+    return {}
+
+
+def derived(f: Fan, compute, *args):
+    """compute(f, *args), computed once per fan data and argument tuple."""
+    memo = f._derived
+    key = (compute, *args)
+    if key not in memo:
+        memo[key] = compute(f, *args)
+    return memo[key]
+
+
+def _canonical_form(f: Fan):
+    order = sorted(range(f.n_rays), key=lambda i: f.rays[i])
     relabel = {old: new for new, old in enumerate(order)}
-    new_rays = tuple(rays[i] for i in order)
-    new_cones = tuple(sorted(tuple(sorted(relabel[i] for i in c)) for c in cones))
-    return dim, new_rays, new_cones
+    new_rays = tuple(f.rays[i] for i in order)
+    new_cones = tuple(sorted(tuple(sorted(relabel[i] for i in c)) for c in f.max_cones))
+    return f.dim, new_rays, new_cones
 
 
 @dataclass(frozen=True)
@@ -180,12 +205,11 @@ class ValidationReport:
 
 def validate(f: Fan) -> ValidationReport:
     """Check smoothness, completeness and the fan property, exactly."""
-    return _validate_raw(f.dim, f.rays, f.max_cones)
+    return derived(f, _validate_raw)
 
 
-@lru_cache(maxsize=None)
-def _validate_raw(dim, rays, cones):
-    """Validation of raw fan data.
+def _validate_raw(f: Fan) -> ValidationReport:
+    """Uncached validation of the fan data.
 
     The fan property of complete data whose cones all have non-zero
     determinant is decided locally: such data is a fan iff
@@ -212,6 +236,7 @@ def _validate_raw(dim, rays, cones):
     only on incomplete or degenerate data, where the argument does not
     apply, and after a local rejection, to name the pairs that overlap.
     """
+    dim, rays, cones = f.dim, f.rays, f.max_cones
     failures = []
     dets = {}
     smooth = True
@@ -377,13 +402,12 @@ def _facet_map(dim, cones):
 
 def walls(f: Fan) -> tuple[Wall, ...]:
     """All walls of a complete fan, each with its two apex rays."""
-    return _walls_raw(f.dim, f.rays, f.max_cones)
+    return derived(f, _walls_raw)
 
 
-@lru_cache(maxsize=None)
-def _walls_raw(dim, rays, cones):
+def _walls_raw(f: Fan) -> tuple[Wall, ...]:
     out = []
-    for facet, adjacent in sorted(_facet_map(dim, cones).items()):
+    for facet, adjacent in sorted(_facet_map(f.dim, f.max_cones).items()):
         if len(adjacent) != 2:
             raise NotComplete(f"wall {facet} bounds {len(adjacent)} maximal cones")
         out.append(Wall(facet, (adjacent[0][1], adjacent[1][1])))
@@ -423,7 +447,7 @@ def lattice_isomorphism(f: Fan, g: Fan):
         return None
     base = f.max_cones[0]
     base_mat = [f.rays[i] for i in base]
-    inv_rows = _inverse_rows(base_mat)
+    inv_rows = rational_inverse(base_mat)
     if inv_rows is None:
         return None
     g_ray_set = set(g.rays)
@@ -455,20 +479,3 @@ def lattice_isomorphism(f: Fan, g: Fan):
                 return tuple(tuple(row) for row in M)
     return None
 
-
-def _inverse_rows(mat):
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fct = aug[r][col]
-                aug[r] = [a - fct * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -209,7 +209,3 @@ def _verify(entry: GalleryEntry):
             raise AssertionError(f"oda3 distinguished-wall scan gave {scanned}")
     for rays in notes.distinguished_walls:
         wall_lookup(fan, rays)
-
-
-def known_names() -> tuple[str, ...]:
-    return ("pn", "hirzebruch", "p1xp1", "oda3", "xab", "ewald-tower")

@@ -13,9 +13,8 @@ ray r is the intersection number of the curve with the invariant divisor D_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .fan import Fan, NotAWall, Wall, walls
+from .fan import Fan, NotAWall, Wall, derived, walls
 from .lattice import solve_columns
 
 CurveClass = tuple[int, ...]
@@ -43,7 +42,7 @@ class WallRelation:
 
 def wall_relation(f: Fan, w: Wall) -> WallRelation:
     """Exact integer relation across the wall `w` of the smooth fan `f`."""
-    rel = _relations_map(f.dim, f.rays, f.max_cones).get(w)
+    rel = derived(f, _relations_map).get(w)
     if rel is None:
         raise NotAWall(f"{w} is not a wall of the fan")
     return rel
@@ -51,12 +50,10 @@ def wall_relation(f: Fan, w: Wall) -> WallRelation:
 
 def all_relations(f: Fan) -> tuple[WallRelation, ...]:
     """Wall relations for every wall, in the canonical wall order."""
-    return tuple(_relations_map(f.dim, f.rays, f.max_cones).values())
+    return tuple(derived(f, _relations_map).values())
 
 
-@lru_cache(maxsize=None)
-def _relations_map(dim, rays, cones):
-    f = Fan(dim, rays, cones)
+def _relations_map(f: Fan) -> dict[Wall, WallRelation]:
     return {w: _solve_relation(f, w) for w in walls(f)}
 
 

@@ -22,10 +22,6 @@ class DimensionMismatch(ValueError):
     """Vectors of incompatible lengths were combined."""
 
 
-class NotInSpan(ValueError):
-    """The target is not a rational combination of the given vectors."""
-
-
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
@@ -55,10 +51,7 @@ def vsum(vectors, dim=None):
 
 def content(v) -> int:
     """gcd of the absolute values of the coordinates (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v: LatticePoint) -> LatticePoint:
@@ -103,18 +96,19 @@ def determinant(vs) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def solve_columns(columns, target):
-    """Solve sum_j c_j * columns[j] = target exactly over the rationals.
+def _gauss_jordan(aug, ncols):
+    """Reduce the Fraction rows of `aug` in place to reduced row echelon form
+    in their first `ncols` columns; later columns are carried along.
 
-    Returns the coefficient list (free coefficients set to 0) or None if the
-    system is inconsistent.
+    Returns the pivot columns; the k-th is the leading column of row k, and
+    rows from len(pivots) on vanish in the first `ncols` columns.
     """
-    m = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
+    m = len(aug)
     pivots = []
-    row = 0
-    for col in range(k):
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
         pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
         if pivot is None:
             continue
@@ -125,78 +119,53 @@ def solve_columns(columns, target):
             if r != row and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for r, c in pivots:
-        coeffs[c] = aug[r][k]
-    return coeffs
+        pivots.append(col)
+    return pivots
 
 
-def solve_integer_relation(targets, basis):
-    """Coefficients c with sum(targets) = sum_i c_i * basis[i], exactly.
+def solve_columns(columns, target):
+    """Solve sum_j c_j * columns[j] = target exactly over the rationals.
 
-    Raises NotInSpan when the summed target lies outside the span.
+    Returns the coefficient list (free coefficients set to 0) or None if the
+    system is inconsistent.
     """
-    if not targets:
-        raise DimensionMismatch("need at least one target vector")
-    t = vsum(targets)
-    coeffs = solve_columns(basis, t)
-    if coeffs is None:
-        raise NotInSpan("target sum is outside the span of the basis")
+    m = len(target)
+    k = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
+    pivots = _gauss_jordan(aug, k)
+    if any(aug[r][k] != 0 for r in range(len(pivots), m)):
+        return None
+    coeffs = [Fraction(0)] * k
+    for r, c in enumerate(pivots):
+        coeffs[c] = aug[r][k]
     return coeffs
 
 
 def rational_rank(rows) -> int:
     """Rank over Q of the matrix with the given rows."""
     mat = [[Fraction(a) for a in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [a / pv for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+
+
+def rational_inverse(rows):
+    """Inverse of a square integer matrix as rows of Fractions, or None if
+    the matrix is singular."""
+    n = len(rows)
+    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    if len(_gauss_jordan(aug, n)) < n:
+        return None
+    return [row[n:] for row in aug]
 
 
 def unimodular_inverse(rows):
     """Integer inverse of a unimodular integer matrix (|det| = 1)."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(a.denominator != 1 for a in row):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(a) for a in row))
-    return inv
+    inv = rational_inverse(rows)
+    if inv is None:
+        raise ValueError("matrix is singular")
+    if any(a.denominator != 1 for row in inv for a in row):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(int(a) for a in row) for row in inv]
 
 
 def phase_one(rows, rhs):

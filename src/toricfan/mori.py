@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .fan import Fan, Wall, walls
+from .fan import Fan, Wall, derived, walls
 from .intersection import CurveClass, all_relations, anticanonical_degree, wall_relation
-from .lattice import phase_one, vdot
+from .lattice import phase_one, primitive_vector, vdot
 
 
 class NotExtremal(ValueError):
@@ -84,33 +83,23 @@ def _format_rational(x) -> str:
 
 def mori_generators(f: Fan):
     """Deduplicated wall classes, each with the walls realizing it."""
-    return _generators_raw(f.dim, f.rays, f.max_cones)
+    return derived(f, _generators_raw)
 
 
-@lru_cache(maxsize=None)
-def _generators_raw(dim, rays, cones):
-    f = Fan(dim, rays, cones)
+def _generators_raw(f: Fan):
     grouped: dict[CurveClass, list[Wall]] = {}
     for rel in all_relations(f):
         grouped.setdefault(rel.coeffs, []).append(rel.wall)
     return tuple((vec, tuple(ws)) for vec, ws in sorted(grouped.items()))
 
 
-def _primitive_direction(vec):
-    g = 0
-    for a in vec:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in vec) if g else vec
-
-
 def is_projective(f: Fan) -> ProjectivityVerdict:
     """Decide projectivity by exact LP; the verdict carries its own proof."""
-    return _projectivity_raw(f.dim, f.rays, f.max_cones)
+    return derived(f, _projectivity_raw)
 
 
-@lru_cache(maxsize=None)
-def _projectivity_raw(dim, rays, cones):
-    f = Fan(dim, rays, cones)
+def _projectivity_raw(f: Fan) -> ProjectivityVerdict:
+    """Uncached projectivity decision of `is_projective`."""
     gens = mori_generators(f)
     classes = [vec for vec, _ in gens]
     reps = [ws[0] for _, ws in gens]
@@ -128,13 +117,9 @@ def _projectivity_raw(dim, rays, cones):
                 raise AssertionError("ample witness failed re-verification")
         return ProjectivityVerdict(True, ample_witness=witness)
     # normalize the certificate to primitive integers
-    denom_lcm = 1
-    for v in y:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    denom_lcm = lcm(*(v.denominator for v in y))
     ints = [int(v * denom_lcm) for v in y]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     if any(v < 0 for v in ints) or not any(v > 0 for v in ints):
         raise AssertionError("certificate signs are wrong")
@@ -154,15 +139,13 @@ def is_extremal(f: Fan, w: Wall) -> bool:
     Classes proportional (by a positive rational) to the tested one are set
     aside; the test asks for a nonnegative combination of the rest.
     """
-    return _extremal_raw(f.dim, f.rays, f.max_cones, wall_relation(f, w).coeffs)
+    return derived(f, _extremal_raw, wall_relation(f, w).coeffs)
 
 
-@lru_cache(maxsize=None)
-def _extremal_raw(dim, rays, cones, target):
-    f = Fan(dim, rays, cones)
-    direction = _primitive_direction(target)
+def _extremal_raw(f: Fan, target) -> bool:
+    direction = primitive_vector(target)
     others = [
-        vec for vec, _ in mori_generators(f) if _primitive_direction(vec) != direction
+        vec for vec, _ in mori_generators(f) if primitive_vector(vec) != direction
     ]
     if not others:
         return True

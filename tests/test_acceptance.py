@@ -219,7 +219,7 @@ def test_criterion_06_towers():
     blown = blow_up_curve(top, top_wall).result
     for f in (top, blown):
         start = time.perf_counter()
-        _projectivity_raw.__wrapped__(f.dim, f.rays, f.max_cones)  # uncached run
+        _projectivity_raw(f)  # uncached run
         assert time.perf_counter() - start < 10.0
 
 

@@ -148,6 +148,20 @@ def test_invariant_violation_exits_3(capsys, fan_file, oda, monkeypatch):
     assert run(["analyze", path, "--curve", "1,4"]) == 3
 
 
+def test_failed_self_check_exits_3(capsys, fan_file, oda, monkeypatch):
+    import toricfan.cli as cli_mod
+
+    def boom(fan):
+        raise AssertionError("forced re-verification failure")
+
+    monkeypatch.setattr(cli_mod.mori, "is_projective", boom)
+    path = fan_file("oda.json", oda.fan)
+    assert run(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: forced re-verification failure")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     [

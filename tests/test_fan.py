@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+import toricfan.fan as fan_mod
+import toricfan.intersection as intersection_mod
 from toricfan.fan import (
+    MEMO_SIZE,
     Fan,
     MalformedInput,
     NotAWall,
@@ -18,6 +21,7 @@ from toricfan.fan import (
 )
 from toricfan.birational import blow_up_curve
 from toricfan.gallery import get_fan
+from toricfan.intersection import all_relations
 
 
 def test_p2_validates(p2):
@@ -161,3 +165,54 @@ def test_json_booleans_and_floats_are_not_integers(data):
 def test_constructor_rejects_non_integer_dimension():
     with pytest.raises(MalformedInput):
         Fan(True, ((1,), (-1,)), ((0,), (1,)))
+
+
+def test_equal_data_shares_derived_data(oda, monkeypatch):
+    fan_mod._memo.cache_clear()
+    calls = []
+    solve = intersection_mod.solve_columns
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(intersection_mod, "solve_columns", counting)
+    data = (oda.fan.dim, oda.fan.rays, oda.fan.max_cones)
+    first, second = Fan(*data), Fan(*data)
+    assert first is not second
+    relations = all_relations(first)
+    assert len(calls) == len(walls(first))
+    assert all_relations(second) == relations
+    assert len(calls) == len(walls(first))
+
+
+def test_ray_permuted_copy_has_its_own_indices(oda):
+    f = oda.fan
+    perm = list(reversed(range(f.n_rays)))  # new ray k is old ray perm[k]
+    new_index = {old: new for new, old in enumerate(perm)}
+    g = Fan(f.dim, tuple(f.rays[i] for i in perm),
+            tuple(tuple(sorted(new_index[i] for i in c)) for c in f.max_cones))
+    assert g == f
+    relabeled = {Wall(tuple(new_index[i] for i in w.rays), tuple(new_index[a] for a in w.apexes))
+                 for w in walls(f)}
+    assert set(walls(g)) == relabeled
+    assert walls(g) != walls(f)
+    for rel in all_relations(g):
+        assert all(rel.coeffs[a] == 1 for a in rel.wall.apexes)
+        assert all(sum(c * r[k] for c, r in zip(rel.coeffs, g.rays)) == 0 for k in range(g.dim))
+        for a in rel.wall.apexes:
+            assert tuple(sorted(rel.wall.rays + (a,))) in g.max_cones
+
+
+def test_memo_is_bounded_and_evicted_fans_still_answer():
+    cones = ((0, 1), (1, 2), (2, 3), (0, 3))
+    fans = [Fan(2, ((1, 0), (0, 1), (-1, a), (0, -1)), cones) for a in range(MEMO_SIZE + 1)]
+    for f in fans:
+        assert validate(f).valid
+    assert fan_mod._memo.cache_info().currsize <= MEMO_SIZE
+    evicted = fans[0]
+    fresh = Fan(evicted.dim, evicted.rays, evicted.max_cones)
+    assert fresh._derived is not evicted._derived
+    assert validate(evicted).valid
+    assert walls(evicted) == walls(fresh)
+    assert all_relations(evicted) == all_relations(fresh)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,17 +6,18 @@ import pytest
 
 from toricfan.lattice import (
     DimensionMismatch,
-    NotInSpan,
     ZeroVector,
     determinant,
     phase_one,
     primitive_vector,
+    rational_inverse,
     rational_rank,
-    solve_integer_relation,
+    solve_columns,
     unimodular_inverse,
     vadd,
     vdot,
     vscale,
+    vsum,
 )
 
 
@@ -61,14 +63,13 @@ def test_determinant_alternating_and_exact():
         assert determinant(scaled) == c * d
 
 
-def test_solve_integer_relation_examples():
-    assert solve_integer_relation([(0, 1), (-1, -1)], [(1, 0)]) == [-1]
-    assert solve_integer_relation([(1, 0, 0), (0, 1, 0)], [(1, 1, 0)]) == [1]
-    with pytest.raises(NotInSpan):
-        solve_integer_relation([(1, 0)], [(0, 1)])
+def test_solve_columns_examples():
+    assert solve_columns([(1, 0)], vsum([(0, 1), (-1, -1)])) == [-1]
+    assert solve_columns([(1, 1, 0)], vsum([(1, 0, 0), (0, 1, 0)])) == [1]
+    assert solve_columns([(0, 1)], vsum([(1, 0)])) is None
 
 
-def test_solve_integer_relation_resubstitutes():
+def test_solve_columns_resubstitutes():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -76,10 +77,8 @@ def test_solve_integer_relation_resubstitutes():
         while rational_rank(basis) < n:
             basis = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
         targets = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-        coeffs = solve_integer_relation(targets, basis)
-        total = (0,) * n
-        for t in targets:
-            total = vadd(total, t)
+        total = vsum(targets)
+        coeffs = solve_columns(basis, total)
         rebuilt = (Fraction(0),) * n
         for c, b in zip(coeffs, basis):
             rebuilt = vadd(rebuilt, vscale(c, b))
@@ -122,3 +121,80 @@ def test_phase_one_farkas_certificate_random():
             for j in range(k):
                 assert sum(y[i] * rows[i][j] for i in range(m)) <= 0
             assert sum(y[i] * rhs[i] for i in range(m)) > 0
+
+
+def _minor_rank(rows):
+    """Size of the largest non-zero minor, by Bareiss determinants."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                if determinant([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _random_matrix(rng, m, n):
+    """An m x n integer matrix, of deficient rank about half the time."""
+    if rng.random() < 0.5:
+        r = rng.randint(0, min(m, n) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        return _matmul(left, right) if r else [[0] * n for _ in range(m)]
+    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+
+
+def _random_unimodular(rng, n):
+    """A product of random elementary integer row operations and a sign."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    if rng.random() < 0.5:
+        mat[0] = [-a for a in mat[0]]
+    return mat
+
+
+def test_elimination_agrees_with_bareiss_oracle():
+    rng = random.Random(23)
+    identity = {n: [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] for n in range(1, 7)}
+    inconsistent = 0
+    for trial in range(240):
+        m = rng.randint(1, 6)
+        n = m if trial % 2 else rng.randint(1, 6)
+        rows = _random_matrix(rng, m, n)
+        rank = _minor_rank(rows)
+        assert rational_rank(rows) == rank
+
+        # the columns of `rows` against a target in their span, then an arbitrary one
+        columns = [tuple(row[j] for row in rows) for j in range(n)]
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        for target in ([sum(r * c for r, c in zip(row, x)) for row in rows],
+                       [rng.randint(-4, 4) for _ in range(m)]):
+            coeffs = solve_columns(columns, target)
+            consistent = _minor_rank([row + [t] for row, t in zip(rows, target)]) == rank
+            assert (coeffs is not None) == consistent
+            if coeffs is None:
+                inconsistent += 1
+            else:
+                assert [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(m)] == target
+
+        if m != n:
+            continue
+        d = determinant(rows)
+        inv = rational_inverse(rows)
+        assert (inv is None) == (d == 0)
+        if inv is not None:
+            assert _matmul(inv, rows) == identity[n]
+        for mat in (rows, _random_unimodular(rng, n)):
+            if abs(determinant(mat)) != 1:
+                with pytest.raises(ValueError):
+                    unimodular_inverse(mat)
+            else:
+                assert _matmul(unimodular_inverse(mat), mat) == identity[n]
+    assert inconsistent >= 20

@@ -313,6 +313,6 @@ def test_valid_tower_level_validates_without_lp(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(fan_mod, name, counting)
-    report = fan_mod._validate_raw.__wrapped__(f.dim, f.rays, f.max_cones)
+    report = fan_mod._validate_raw(f)
     assert report.valid
     assert calls == []
