@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .birational import blow_down, blow_up_curve, reindex_after_removal
-from .fan import Fan, Wall, validate, wall_lookup
+from .fan import Fan, MalformedInput, Wall, _exact_int, validate, wall_lookup
 from .mori import is_projective
 
 
@@ -44,7 +44,7 @@ class SuspensionRecord:
 
 def suspend(base: Fan, v) -> SuspensionRecord:
     """Fan of the one-parameter-subgroup suspension of `base` by `v`."""
-    v = tuple(int(a) for a in v)
+    v = tuple(_exact_int(a, "suspension coordinate") for a in v)
     if len(v) != base.dim:
         raise VMismatch(f"direction {v} does not have dimension {base.dim}")
     n_base = base.n_rays
@@ -92,10 +92,12 @@ def ewald_tower(base: Fan, curve, steps: int):
     produced pair is re-verified before it is returned.  The trajectory
     [(base, curve), (fan_1, curve_1), ...] is returned, `steps + 1` pairs.
     """
+    if _exact_int(steps, "step count") < 0:
+        raise MalformedInput(f"step count must be nonnegative, got {steps}")
     w = wall_lookup(base, curve.rays if isinstance(curve, Wall) else curve)
     _check_pair(base, w)
     out = [(base, w)]
-    for _ in range(int(steps)):
+    for _ in range(steps):
         f, w = out[-1]
         if not w.rays:
             raise NoSuitableDivisor("the curve cone has no rays")

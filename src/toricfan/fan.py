@@ -20,11 +20,10 @@ from functools import cached_property, lru_cache
 
 from .lattice import (
     ZeroVector,
+    adjugate,
     determinant,
     phase_one,
     primitive_vector,
-    rational_inverse,
-    unimodular_inverse,
     vdot,
     vscale,
     vsum,
@@ -333,24 +332,12 @@ def _locate(rays, cone, det, p):
 
 
 def _facet_normals(rays, cone, det):
-    """Integer functionals h_k with h_k(u_j) = |det| * delta_jk over the cone.
-
-    For a unimodular cone these are the dual basis; otherwise the positively
-    scaled adjugate is used, which keeps every entry integral and preserves
-    all the sign information the face tests need.
-    """
-    mat = [rays[i] for i in cone]
-    n = len(cone)
-    if abs(det) == 1:
-        inv = unimodular_inverse(mat)
-        return [tuple(inv[i][k] for i in range(n)) for k in range(n)]
+    """Integer functionals h_k with h_k(u_j) = |det| * delta_jk over the cone:
+    the columns of the adjugate, scaled by the sign of det.  For a unimodular
+    cone they are the dual basis."""
     sign = 1 if det > 0 else -1
-    adj = [
-        [sign * (-1) ** (i + j) * determinant([[mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return [tuple(adj[i][k] for i in range(n)) for k in range(n)]
+    _, adj = adjugate([rays[i] for i in cone])
+    return [tuple(sign * a for a in col) for col in zip(*adj)]
 
 
 def _pair_is_face(rays, sa, sb, normals_a, normals_b):
@@ -445,24 +432,19 @@ def lattice_isomorphism(f: Fan, g: Fan):
         return None
     if not f.max_cones:
         return None
-    base = f.max_cones[0]
-    base_mat = [f.rays[i] for i in base]
-    inv_rows = rational_inverse(base_mat)
-    if inv_rows is None:
+    det, adj = adjugate([f.rays[i] for i in f.max_cones[0]])
+    if adj is None:
         return None
     g_ray_set = set(g.rays)
     g_cone_set = set(g.max_cones)
     for target in g.max_cones:
         for perm in itertools.permutations(target):
             img = [g.rays[i] for i in perm]
-            # solve base_mat . M = img row-wise, i.e. M = base_mat^{-1} . img
-            M = [
-                tuple(sum(inv_rows[r][k] * img[k][c] for k in range(f.dim)) for c in range(f.dim))
-                for r in range(f.dim)
-            ]
-            if any(a.denominator != 1 for row in M for a in row):
+            # solve base . M = img row-wise: det * M = adj . img
+            M = [tuple(vdot(row, col) for col in zip(*img)) for row in adj]
+            if any(a % det for row in M for a in row):
                 continue
-            M = [tuple(int(a) for a in row) for row in M]
+            M = [tuple(a // det for a in row) for row in M]
             if abs(determinant(M)) != 1:
                 continue
             mapped = {}

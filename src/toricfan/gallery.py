@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ewald import ewald_tower
-from .fan import Fan, picard_number, validate, wall_lookup, walls
+from .fan import MEMO_SIZE, Fan, picard_number, validate, wall_lookup, walls
 from .intersection import wall_relation
 from .mori import is_projective
 
@@ -113,10 +113,12 @@ def xab_rays(a: int, b: int):
 
 def get_fan(name: str, *params: int) -> GalleryEntry:
     """Look up a named fan; its notes are recomputed and checked on load."""
-    return _entry(str(name), tuple(int(p) for p in params))
+    if any(type(p) is not int for p in params):
+        raise BadParams(f"parameters {params!r} are not all integers")
+    return _entry(str(name), params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _entry(name: str, params: tuple[int, ...]) -> GalleryEntry:
     if name == "pn":
         n = _one_param(name, params)

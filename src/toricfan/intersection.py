@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan, NotAWall, Wall, derived, walls
-from .lattice import solve_columns
+from .lattice import adjugate, vdot
 
 CurveClass = tuple[int, ...]
 
@@ -58,21 +58,22 @@ def _relations_map(f: Fan) -> dict[Wall, WallRelation]:
 
 
 def _solve_relation(f: Fan, w: Wall) -> WallRelation:
+    """The far apex u_a2 in the basis of the near cone (wall rays, u_a1):
+    its coordinates are (u_a2 . adj) / det."""
     a1, a2 = w.apexes
-    basis = [f.rays[i] for i in w.rays] + [f.rays[a1]]
-    coeffs = solve_columns(basis, f.rays[a2])
-    if coeffs is None:
+    det, adj = adjugate([f.rays[i] for i in w.rays] + [f.rays[a1]])
+    if adj is None:
         raise NotAWall(f"wall {w} spans a degenerate configuration")
-    *ray_coeffs, apex_coeff = coeffs
-    if apex_coeff != -1:
+    *ray_nums, apex_num = (vdot(f.rays[a2], col) for col in zip(*adj))
+    if apex_num != -det:
         raise NotAWall(f"apexes of {w} do not lie on opposite sides; fan is not smooth/proper")
     full = [0] * f.n_rays
     full[a1] = 1
     full[a2] = 1
-    for idx, c in zip(w.rays, ray_coeffs):
-        if c.denominator != 1:
+    for idx, num in zip(w.rays, ray_nums):
+        if num % det:
             raise NotAWall(f"non-integral relation across {w}; fan is not smooth")
-        full[idx] = int(-c)
+        full[idx] = -num // det
     return WallRelation(w, tuple(full))
 
 

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra underlying all fan computations.
 
-Everything here works over Python ints and `fractions.Fraction`; no floating
-point is used anywhere.  Vectors are plain tuples, matrices are sequences of
-row vectors.
+Elimination (determinants, adjugates) is fraction-free over Python ints;
+`fractions.Fraction` is used only by the exact simplex `phase_one`.  No
+floating point is used anywhere.  Vectors are plain tuples, matrices are
+sequences of row vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 LatticePoint = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 
 
 class ZeroVector(ValueError):
@@ -96,76 +96,37 @@ def determinant(vs) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _gauss_jordan(aug, ncols):
-    """Reduce the Fraction rows of `aug` in place to reduced row echelon form
-    in their first `ncols` columns; later columns are carried along.
+def adjugate(rows):
+    """(det, adj) of a square integer matrix, with rows . adj == det * I
+    exactly; adj is None when det == 0.
 
-    Returns the pivot columns; the k-th is the leading column of row k, and
-    rows from len(pivots) on vanish in the first `ncols` columns.
+    Fraction-free Gauss-Jordan on [rows | I]: each step divides exactly by
+    the previous pivot (Bareiss), so every entry stays an integer minor, and
+    the matrix ends as [d I | d rows^-1], d the determinant of the
+    row-permuted matrix.
     """
-    m = len(aug)
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == m:
-            break
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-    return pivots
-
-
-def solve_columns(columns, target):
-    """Solve sum_j c_j * columns[j] = target exactly over the rationals.
-
-    Returns the coefficient list (free coefficients set to 0) or None if the
-    system is inconsistent.
-    """
-    m = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    pivots = _gauss_jordan(aug, k)
-    if any(aug[r][k] != 0 for r in range(len(pivots), m)):
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        coeffs[c] = aug[r][k]
-    return coeffs
-
-
-def rational_rank(rows) -> int:
-    """Rank over Q of the matrix with the given rows."""
-    mat = [[Fraction(a) for a in r] for r in rows]
-    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
-
-
-def rational_inverse(rows):
-    """Inverse of a square integer matrix as rows of Fractions, or None if
-    the matrix is singular."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    if len(_gauss_jordan(aug, n)) < n:
-        return None
-    return [row[n:] for row in aug]
-
-
-def unimodular_inverse(rows):
-    """Integer inverse of a unimodular integer matrix (|det| = 1)."""
-    inv = rational_inverse(rows)
-    if inv is None:
-        raise ValueError("matrix is singular")
-    if any(a.denominator != 1 for row in inv for a in row):
-        raise ValueError("matrix is not unimodular")
-    return [tuple(int(a) for a in row) for row in inv]
+    aug = []
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise DimensionMismatch(f"need {n} vectors of dimension {n}")
+        aug.append(list(r) + [int(i == j) for j in range(n)])
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
+        top = aug[k]
+        pk = top[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(pk * a - f * b) // prev for a, b in zip(aug[i], top)]
+        prev = pk
+    return sign * prev, [[sign * a for a in row[n:]] for row in aug]
 
 
 def phase_one(rows, rhs):

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from fm_oracle import fan_is_projective
+from fraction_oracle import rational_rank
 from toricfan.analyzer import (
     ELEMENTARY_TRANSFORMATION,
     FORBIDDEN_FLIP,
@@ -21,7 +22,7 @@ from toricfan.ewald import ewald_blow_down, ewald_tower, suspend
 from toricfan.fan import Fan, lattice_isomorphism, picard_number, validate, wall_lookup, walls
 from toricfan.gallery import get_fan
 from toricfan.intersection import all_relations, anticanonical_degree, is_fano, wall_relation
-from toricfan.lattice import rational_rank, vadd, vscale
+from toricfan.lattice import vadd, vscale
 from toricfan.mori import _projectivity_raw, is_projective
 
 from conftest import make_random_records

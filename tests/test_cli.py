@@ -175,3 +175,9 @@ def test_json_booleans_and_floats_exit_2(capsys, tmp_path, text):
     path.write_text(text)
     assert run(["check", str(path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_negative_tower_steps_exit_2(capsys, fan_file, oda):
+    path = fan_file("oda.json", oda.fan)
+    assert run(["ewald", "tower", path, "--curve", "1,4", "--steps", "-2"]) == 2
+    assert capsys.readouterr().out == ""

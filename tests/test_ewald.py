@@ -2,7 +2,7 @@ import pytest
 
 from toricfan.birational import blow_up_curve
 from toricfan.ewald import VMismatch, ewald_blow_down, ewald_tower, suspend
-from toricfan.fan import Fan, lattice_isomorphism, picard_number, validate, wall_lookup
+from toricfan.fan import Fan, MalformedInput, lattice_isomorphism, picard_number, validate, wall_lookup
 from toricfan.gallery import get_fan
 from toricfan.mori import is_projective
 
@@ -83,3 +83,15 @@ def test_disjoint_divisor_keeps_codimension(oda):
 
     blown = star_subdivision(result, lifted)
     assert is_projective(blown.result).projective
+
+
+@pytest.mark.parametrize("v", [(1.9, True), (1.0, 0), (1, True)])
+def test_suspend_rejects_non_integer_directions(p2, v):
+    with pytest.raises(MalformedInput):
+        suspend(p2, v)
+
+
+@pytest.mark.parametrize("steps", [-2, 1.5, True])
+def test_tower_rejects_bad_step_counts(oda, steps):
+    with pytest.raises(MalformedInput):
+        ewald_tower(oda.fan, (1, 4), steps)

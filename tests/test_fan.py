@@ -170,13 +170,13 @@ def test_constructor_rejects_non_integer_dimension():
 def test_equal_data_shares_derived_data(oda, monkeypatch):
     fan_mod._memo.cache_clear()
     calls = []
-    solve = intersection_mod.solve_columns
+    solve = intersection_mod.adjugate
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(intersection_mod, "solve_columns", counting)
+    monkeypatch.setattr(intersection_mod, "adjugate", counting)
     data = (oda.fan.dim, oda.fan.rays, oda.fan.max_cones)
     first, second = Fan(*data), Fan(*data)
     assert first is not second

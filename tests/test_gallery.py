@@ -1,7 +1,9 @@
 import pytest
 
+import toricfan.gallery as gallery_mod
+
 from toricfan.birational import blow_down, blow_up_curve
-from toricfan.fan import lattice_isomorphism, picard_number, validate, walls
+from toricfan.fan import MEMO_SIZE, lattice_isomorphism, picard_number, validate, walls
 from toricfan.gallery import BadParams, UnknownName, get_fan, xab_rays
 from toricfan.mori import is_projective
 
@@ -70,3 +72,22 @@ def test_elementary_transformation_neighbors(a, b):
 def test_xab_rays_formula():
     assert xab_rays(2, -1)[6] == (-1, -1, 0)
     assert xab_rays(2, -1)[7] == (1, 1, 2)
+
+
+@pytest.mark.parametrize("params", [(2.7,), (True,), (1, 0.0)])
+def test_non_integer_params_are_rejected(params):
+    name = "xab" if len(params) == 2 else "pn"
+    with pytest.raises(BadParams):
+        get_fan(name, *params)
+
+
+def test_cache_is_bounded_and_evicted_entries_are_recomputed():
+    gallery_mod._entry.cache_clear()
+    first = get_fan("hirzebruch", 0)
+    for a in range(1, MEMO_SIZE + 1):
+        get_fan("hirzebruch", a)
+    info = gallery_mod._entry.cache_info()
+    assert info.currsize <= MEMO_SIZE
+    again = get_fan("hirzebruch", 0)
+    assert gallery_mod._entry.cache_info().misses == info.misses + 1
+    assert again is not first and again == first

@@ -7,7 +7,8 @@ from toricfan.intersection import (
     is_fano,
     wall_relation,
 )
-from toricfan.lattice import rational_rank, vadd, vscale
+from fraction_oracle import rational_rank
+from toricfan.lattice import vadd, vscale
 
 
 def test_p2_line_relation(p2):

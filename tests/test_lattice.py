@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_oracle import rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from toricfan.lattice import (
     DimensionMismatch,
     ZeroVector,
+    adjugate,
     determinant,
     phase_one,
     primitive_vector,
-    rational_inverse,
-    rational_rank,
-    solve_columns,
-    unimodular_inverse,
     vadd,
     vdot,
     vscale,
@@ -198,3 +196,27 @@ def test_elimination_agrees_with_bareiss_oracle():
             else:
                 assert _matmul(unimodular_inverse(mat), mat) == identity[n]
     assert inconsistent >= 20
+
+
+def test_adjugate_agrees_with_fraction_oracle():
+    rng = random.Random(29)
+    singular = unimodular = 0
+    for trial in range(420):
+        n = trial % 7 + 1
+        for rows in (_random_matrix(rng, n, n), _random_unimodular(rng, n)):
+            det, adj = adjugate(rows)
+            assert det == determinant(rows)
+            inv = rational_inverse(rows)
+            if det == 0:
+                assert adj is None and inv is None
+                singular += 1
+                continue
+            assert _matmul(rows, adj) == [[det * int(i == j) for j in range(n)] for i in range(n)]
+            assert adj == [[det * a for a in row] for row in inv]
+            if abs(det) == 1:
+                assert adj == [[det * a for a in row] for row in unimodular_inverse(rows)]
+                unimodular += 1
+    assert singular >= 150 and unimodular >= 420
+    assert adjugate([]) == (1, [])
+    with pytest.raises(DimensionMismatch):
+        adjugate([(1, 0, 0), (0, 1, 0)])

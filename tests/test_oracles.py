@@ -5,7 +5,9 @@ against Fourier-Motzkin elimination on random systems, the pairwise
 fan-property test is cross-checked against a brute-force extreme-ray
 enumeration in dimension three, and the local fan-property criterion of
 `validate` is cross-checked against the all-pairs face test on a seeded
-corpus of complete fans and their mutants.
+corpus of complete fans and their mutants.  On the same corpus and the
+Ewald tower, the integer adjugate behind the wall relations and the facet
+normals is cross-checked against rational Gauss-Jordan elimination.
 """
 
 import itertools
@@ -13,10 +15,21 @@ import math
 import random
 
 from fm_oracle import feasible_geq_one
+from fraction_oracle import solve_columns
 from toricfan.birational import star_subdivision
 from toricfan.ewald import ewald_blow_down, suspend
-from toricfan.fan import Fan, MalformedInput, _facet_map, _facet_normals, _pair_is_face, validate
+from toricfan.fan import (
+    Fan,
+    MalformedInput,
+    NotAWall,
+    _facet_map,
+    _facet_normals,
+    _pair_is_face,
+    validate,
+    walls,
+)
 from toricfan.gallery import get_fan
+from toricfan.intersection import _solve_relation
 from toricfan.lattice import determinant, phase_one, primitive_vector, vdot
 
 
@@ -280,6 +293,70 @@ def test_local_fan_property_agrees_with_all_pairs_oracle():
     assert dims == {2, 3, 4, 5}
 
 
+def _tower_levels():
+    return [get_fan("ewald-tower", k).fan for k in range(5)]  # dims 3-7
+
+
+def _oracle_relation(f, w):
+    """The wall relation by rational elimination, or the NotAWall message."""
+    a1, a2 = w.apexes
+    coeffs = solve_columns([f.rays[i] for i in w.rays] + [f.rays[a1]], f.rays[a2])
+    if coeffs is None:
+        return f"wall {w} spans a degenerate configuration"
+    *ray_coeffs, apex_coeff = coeffs
+    if apex_coeff != -1:
+        return f"apexes of {w} do not lie on opposite sides; fan is not smooth/proper"
+    if any(c.denominator != 1 for c in ray_coeffs):
+        return f"non-integral relation across {w}; fan is not smooth"
+    full = [0] * f.n_rays
+    full[a1] = full[a2] = 1
+    for idx, c in zip(w.rays, ray_coeffs):
+        full[idx] = int(-c)
+    return tuple(full)
+
+
+def test_wall_relations_agree_with_rational_elimination():
+    outcomes = {}
+    dims = set()
+    for f in _differential_corpus() + _tower_levels():
+        if not all(len(adjacent) == 2 for adjacent in _facet_map(f.dim, f.max_cones).values()):
+            continue
+        for w in walls(f):
+            try:
+                got = _solve_relation(f, w).coeffs
+            except NotAWall as exc:
+                got = str(exc)
+            near = [f.rays[i] for i in w.rays + (w.apexes[0],)]
+            if determinant(near) == 0:
+                assert got == f"wall {w} spans a degenerate configuration"
+                kind = "degenerate"
+            else:
+                assert got == _oracle_relation(f, w), f.to_json()
+                kind = "relation" if isinstance(got, tuple) else got.split()[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            dims.add(f.dim)
+    assert dims == {2, 3, 4, 5, 6, 7}
+    assert outcomes["relation"] >= 2000
+    assert outcomes["apexes"] >= 300 and outcomes["degenerate"] >= 50 and outcomes["non-integral"] >= 5
+
+
+def test_facet_normals_are_scaled_dual_bases():
+    checked = non_unimodular = 0
+    for f in _differential_corpus() + _tower_levels():
+        for cone in f.max_cones:
+            mat = [f.rays[i] for i in cone]
+            det = determinant(mat)
+            if det == 0:
+                continue
+            normals = _facet_normals(f.rays, cone, det)
+            assert [[vdot(h, u) for u in mat] for h in normals] == [
+                [abs(det) * int(j == k) for j in range(f.dim)] for k in range(f.dim)
+            ]
+            checked += 1
+            non_unimodular += abs(det) != 1
+    assert checked >= 1400 and non_unimodular >= 80
+
+
 def test_degree_two_multifan_is_complete_but_not_proper():
     # five rays about 144 degrees apart: the cycle of cones winds twice
     rays = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
@@ -305,7 +382,7 @@ def test_valid_tower_level_validates_without_lp(monkeypatch):
 
     f = get_fan("ewald-tower", 2).fan
     calls = []
-    for name in ("phase_one", "_facet_normals", "unimodular_inverse"):
+    for name in ("phase_one", "_facet_normals", "adjugate"):
         original = getattr(fan_mod, name)
 
         def counting(*args, _name=name, _original=original):
