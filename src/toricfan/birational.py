@@ -52,7 +52,9 @@ class BlowupRecord:
 def star_subdivision(f: Fan, center) -> BlowupRecord:
     """Blow up the invariant subvariety whose cone is `center`."""
     center = tuple(sorted(center))
-    if len(set(center)) != len(center) or not all(0 <= i < f.n_rays for i in center):
+    if not all(0 <= i < f.n_rays for i in center):
+        raise MalformedInput(f"center {center} has a ray index out of range")
+    if len(set(center)) != len(center):
         raise NotAFace(f"{center} is not a valid ray index set")
     if not 2 <= len(center) <= f.dim:
         raise NotAFace(f"center size must be between 2 and {f.dim}, got {len(center)}")
@@ -148,7 +150,9 @@ def blow_down(f: Fan, ray: int, decomposition) -> Fan:
     S = tuple(sorted(decomposition))
     if not 0 <= ray < f.n_rays:
         raise MalformedInput(f"ray index {ray} out of range")
-    if ray in S or len(set(S)) != len(S) or not all(0 <= i < f.n_rays for i in S):
+    if not all(0 <= i < f.n_rays for i in S):
+        raise MalformedInput(f"decomposition {S} has a ray index out of range")
+    if ray in S or len(set(S)) != len(S):
         raise SumMismatch("decomposition must be distinct ray indices not containing the ray")
     if vsum(f.rays[i] for i in S) != f.rays[ray]:
         raise SumMismatch(

@@ -5,8 +5,10 @@ Every command reads and writes the canonical fan schema
 (0-based ray indices).  Reports are JSON on stdout with sorted keys and
 rationals rendered as exact "p/q" strings; a one-line human summary goes to
 stderr.  Exit codes: 0 success, 1 a property check failed (for example an
-invalid fan), 2 malformed input, 3 a structural invariant was violated
-during analysis or a result failed its exact re-verification.
+invalid fan, or in-range indices naming no wall or face), 2 malformed input
+(including ray indices out of range and vectors of the wrong length), 3 a
+structural invariant was violated during analysis or a result failed its
+exact re-verification.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ def suspend(base: Fan, v) -> SuspensionRecord:
     """Fan of the one-parameter-subgroup suspension of `base` by `v`."""
     v = tuple(_exact_int(a, "suspension coordinate") for a in v)
     if len(v) != base.dim:
-        raise VMismatch(f"direction {v} does not have dimension {base.dim}")
+        raise MalformedInput(f"direction {v} does not have dimension {base.dim}")
     n_base = base.n_rays
     rays = [r + (0,) for r in base.rays]
     rays.append(v + (1,))
@@ -68,7 +68,7 @@ def ewald_blow_down(rec: SuspensionRecord, divisor_ray: int) -> Fan:
     ray fewer than the suspension, hence the Picard number of the base.
     """
     if not 0 <= divisor_ray < rec.base.n_rays:
-        raise VMismatch(f"divisor ray index {divisor_ray} out of range")
+        raise MalformedInput(f"divisor ray index {divisor_ray} out of range")
     if rec.base.rays[divisor_ray] != rec.v:
         raise VMismatch(
             f"suspension direction {rec.v} is not the generator of ray {divisor_ray}"

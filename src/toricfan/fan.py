@@ -402,8 +402,12 @@ def _walls_raw(f: Fan) -> tuple[Wall, ...]:
 
 
 def wall_lookup(f: Fan, ray_indices) -> Wall:
-    """The wall of `f` with the given ray index set, or NotAWall."""
+    """The wall of `f` with the given ray index set, or NotAWall.
+
+    Indices outside [0, n_rays) are MalformedInput, not a missing wall."""
     key = tuple(sorted(ray_indices))
+    if key and not (0 <= key[0] and key[-1] < f.n_rays):
+        raise MalformedInput(f"ray indices {key} out of range for {f.n_rays} rays")
     for w in walls(f):
         if w.rays == key:
             return w

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra underlying all fan computations.
 
-Elimination (determinants, adjugates) is fraction-free over Python ints;
-`fractions.Fraction` is used only by the exact simplex `phase_one`.  No
-floating point is used anywhere.  Vectors are plain tuples, matrices are
-sequences of row vectors.
+Elimination (determinants, adjugates) and the exact simplex `phase_one` are
+fraction-free over Python ints: the simplex keeps an integer tableau over one
+common denominator, and `fractions.Fraction` appears only in the solution and
+the Farkas certificate it returns.  No floating point is used anywhere.
+Vectors are plain tuples, matrices are sequences of row vectors.
 """
 
 from __future__ import annotations
@@ -139,67 +140,72 @@ def phase_one(rows, rhs):
     * x: a solution (length = number of columns) when feasible, else None,
     * y: a Farkas certificate when infeasible, else None.  It satisfies
       y . rows[:, j] <= 0 for every column j and y . rhs > 0, exactly.
+
+    The tableau, its right-hand side and the reduced-cost row are integers
+    over one common denominator D > 0, the determinant of the current basis
+    (Edmonds 1967).  A pivot at (r, e) keeps row r, maps every other row a,
+    the cost row included, to (p a - f a_r) / D with p = tab[r][e] and
+    f = a[e], and makes p the new D; the division is exact by Sylvester's
+    identity (Bareiss 1968).  Since D > 0 the signs, the ratio comparisons
+    and so the pivots are those of the rational simplex.  Fractions are
+    built only for the returned x and y.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
+    total = ncols + m
+    # row i: the row (negated if rhs[i] < 0), its artificial unit column, rhs
     tab = []
-    b = []
     flip = []
     for i in range(m):
-        if rhs[i] < 0:
-            tab.append([Fraction(-a) for a in rows[i]])
-            b.append(Fraction(-rhs[i]))
-            flip.append(-1)
-        else:
-            tab.append([Fraction(a) for a in rows[i]])
-            b.append(Fraction(rhs[i]))
-            flip.append(1)
-    # append artificial identity columns
-    for i in range(m):
-        tab[i] += [Fraction(int(i == j)) for j in range(m)]
-    total = ncols + m
+        s = -1 if rhs[i] < 0 else 1
+        unit = [0] * m
+        unit[i] = 1
+        tab.append([s * a for a in rows[i]] + unit + [s * rhs[i]])
+        flip.append(s)
+    # reduced costs of min(sum of artificials), then minus its value
+    cost = [-sum(row[j] for row in tab) for j in range(ncols)] + [0] * m
+    cost.append(-sum(row[total] for row in tab))
     basis = list(range(ncols, total))
-    # reduced costs for min(sum of artificials): c_j - 1^T A_j
-    cost = [Fraction(0)] * total
-    for j in range(ncols):
-        cost[j] = -sum(tab[i][j] for i in range(m))
-    value = -sum(b)
+    denom = 1
 
     while True:
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # b_i / a_i against the best b_l / a_l, both a > 0
+                ours = row[total] * tab[leave][enter]
+                theirs = tab[leave][total] * a
+                if ours < theirs or (ours == theirs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no pivot row found")
-        pv = tab[leave][enter]
-        tab[leave] = [a / pv for a in tab[leave]]
-        b[leave] /= pv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leave])]
-                b[i] -= f * b[leave]
+        top = tab[leave]
+        p = top[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                if f:
+                    tab[i] = [(p * a - f * c) // denom for a, c in zip(row, top)]
+                elif p != denom:
+                    tab[i] = [p * a // denom for a in row]
         f = cost[enter]
-        cost = [a - f * c for a, c in zip(cost, tab[leave])]
-        value -= f * b[leave]
+        cost = [(p * a - f * c) // denom for a, c in zip(cost, top)]
         basis[leave] = enter
+        denom = p
 
-    optimum = -value
-    if optimum == 0:
+    if cost[total] == 0:
         x = [Fraction(0)] * ncols
         for i, var in enumerate(basis):
             if var < ncols:
-                x[var] = b[i]
+                x[var] = Fraction(tab[i][total], denom)
         return True, x, None
     # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
-    y = [flip[i] * (1 - cost[ncols + i]) for i in range(m)]
+    y = [flip[i] * (1 - Fraction(cost[ncols + i], denom)) for i in range(m)]
     return False, None, y

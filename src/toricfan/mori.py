@@ -81,6 +81,13 @@ def _format_rational(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _clear_denominators(values):
+    """(den, ints): den > 0 the lcm of the denominators of the rationals
+    `values`, and ints[i] == den * values[i]."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def mori_generators(f: Fan):
     """Deduplicated wall classes, each with the walls realizing it."""
     return derived(f, _generators_raw)
@@ -112,17 +119,17 @@ def _projectivity_raw(f: Fan) -> ProjectivityVerdict:
     feasible, x, y = phase_one(rows, [1] * m)
     if feasible:
         witness = tuple(x[j] - x[k + j] for j in range(k))
-        for vec, _ in gens:
-            if vdot(witness, vec) < 1:
+        den, scaled = _clear_denominators(witness)
+        for vec in classes:
+            if vdot(scaled, vec) < den:
                 raise AssertionError("ample witness failed re-verification")
         return ProjectivityVerdict(True, ample_witness=witness)
     # normalize the certificate to primitive integers
-    denom_lcm = lcm(*(v.denominator for v in y))
-    ints = [int(v * denom_lcm) for v in y]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
+    _, ints = _clear_denominators(y)
     if any(v < 0 for v in ints) or not any(v > 0 for v in ints):
         raise AssertionError("certificate signs are wrong")
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
     combo = [0] * k
     for coeff, vec in zip(ints, classes):
         for j in range(k):
@@ -137,7 +144,9 @@ def is_extremal(f: Fan, w: Wall) -> bool:
     """Whether the wall's class spans an edge of the cone of wall classes.
 
     Classes proportional (by a positive rational) to the tested one are set
-    aside; the test asks for a nonnegative combination of the rest.
+    aside; the test asks for a nonnegative combination of the rest.  The
+    combination, or the Farkas vector showing there is none, is re-verified
+    exactly before the verdict is returned.
     """
     return derived(f, _extremal_raw, wall_relation(f, w).coeffs)
 
@@ -150,7 +159,17 @@ def _extremal_raw(f: Fan, target) -> bool:
     if not others:
         return True
     rows = [[vec[i] for vec in others] for i in range(f.n_rays)]
-    feasible, _, _ = phase_one(rows, list(target))
+    feasible, x, y = phase_one(rows, list(target))
+    # re-verify over the integers: both proofs are invariant under scaling by den > 0
+    if feasible:
+        den, coeffs = _clear_denominators(x)
+        combo = [sum(c * vec[i] for c, vec in zip(coeffs, others)) for i in range(f.n_rays)]
+        if any(c < 0 for c in coeffs) or combo != [den * t for t in target]:
+            raise AssertionError("extremality combination failed re-verification")
+    else:
+        _, farkas = _clear_denominators(y)
+        if any(vdot(farkas, vec) > 0 for vec in others) or vdot(farkas, target) <= 0:
+            raise AssertionError("extremality certificate failed re-verification")
     return not feasible
 
 

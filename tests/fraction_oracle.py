@@ -1,9 +1,11 @@
-"""Rational Gauss-Jordan elimination over `fractions.Fraction`: the test
-oracle for the fraction-free `toricfan.lattice.adjugate`.
+"""Rational Gauss-Jordan elimination and the rational phase-one simplex over
+`fractions.Fraction`: the test oracles for the fraction-free
+`toricfan.lattice.adjugate` and `toricfan.lattice.phase_one`.
 
-These routines solved the library's cone-basis systems before the integer
-adjugate replaced them; they are kept unchanged, outside the library, so the
-tests can run the new elimination differentially against the old one.
+These routines solved the library's cone-basis systems and linear programs
+before the integer adjugate and the integer-tableau simplex replaced them;
+they are kept unchanged, outside the library, so the tests can run the new
+kernels differentially against the old ones.
 """
 
 from fractions import Fraction
@@ -79,3 +81,79 @@ def unimodular_inverse(rows):
     if any(a.denominator != 1 for row in inv for a in row):
         raise ValueError("matrix is not unimodular")
     return [tuple(int(a) for a in row) for row in inv]
+
+
+def phase_one(rows, rhs):
+    """Exact phase-one simplex: decide whether {x >= 0 : rows . x = rhs} is nonempty.
+
+    Minimizes the sum of artificial variables with Bland's rule, so the run
+    always terminates.  Returns a triple (feasible, x, y):
+
+    * feasible: whether the system has a solution,
+    * x: a solution (length = number of columns) when feasible, else None,
+    * y: a Farkas certificate when infeasible, else None.  It satisfies
+      y . rows[:, j] <= 0 for every column j and y . rhs > 0, exactly.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    tab = []
+    b = []
+    flip = []
+    for i in range(m):
+        if rhs[i] < 0:
+            tab.append([Fraction(-a) for a in rows[i]])
+            b.append(Fraction(-rhs[i]))
+            flip.append(-1)
+        else:
+            tab.append([Fraction(a) for a in rows[i]])
+            b.append(Fraction(rhs[i]))
+            flip.append(1)
+    # append artificial identity columns
+    for i in range(m):
+        tab[i] += [Fraction(int(i == j)) for j in range(m)]
+    total = ncols + m
+    basis = list(range(ncols, total))
+    # reduced costs for min(sum of artificials): c_j - 1^T A_j
+    cost = [Fraction(0)] * total
+    for j in range(ncols):
+        cost[j] = -sum(tab[i][j] for i in range(m))
+    value = -sum(b)
+
+    while True:
+        enter = next((j for j in range(total) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = b[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-one objective is bounded; no pivot row found")
+        pv = tab[leave][enter]
+        tab[leave] = [a / pv for a in tab[leave]]
+        b[leave] /= pv
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leave])]
+                b[i] -= f * b[leave]
+        f = cost[enter]
+        cost = [a - f * c for a, c in zip(cost, tab[leave])]
+        value -= f * b[leave]
+        basis[leave] = enter
+
+    optimum = -value
+    if optimum == 0:
+        x = [Fraction(0)] * ncols
+        for i, var in enumerate(basis):
+            if var < ncols:
+                x[var] = b[i]
+        return True, x, None
+    # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
+    y = [flip[i] * (1 - cost[ncols + i]) for i in range(m)]
+    return False, None, y

@@ -181,3 +181,33 @@ def test_negative_tower_steps_exit_2(capsys, fan_file, oda):
     path = fan_file("oda.json", oda.fan)
     assert run(["ewald", "tower", path, "--curve", "1,4", "--steps", "-2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "{}", "--center", "0,99"],
+        ["blowdown", "{}", "--ray", "0", "--sum", "1,99"],
+        ["analyze", "{}", "--curve", "1,99"],
+        ["ewald", "tower", "{}", "--curve", "9,9", "--steps", "1"],
+        ["ewald", "suspend", "{}", "--v", "1,2"],
+    ],
+)
+def test_out_of_range_indices_and_short_vectors_exit_2(capsys, fan_file, oda, argv):
+    path = fan_file("oda.json", oda.fan)
+    assert run([a.format(path) for a in argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "{}", "--center", "0,3"],
+        ["analyze", "{}", "--curve", "0,3"],
+        ["ewald", "tower", "{}", "--curve", "0,3", "--steps", "1"],
+    ],
+)
+def test_in_range_non_faces_still_exit_1(capsys, fan_file, oda, argv):
+    path = fan_file("oda.json", oda.fan)
+    assert run([a.format(path) for a in argv]) == 1
+    assert capsys.readouterr().out == ""

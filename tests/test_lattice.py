@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_oracle import phase_one as oracle_phase_one
 from fraction_oracle import rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from toricfan.lattice import (
     DimensionMismatch,
@@ -120,6 +121,43 @@ def test_phase_one_farkas_certificate_random():
                 assert sum(y[i] * rows[i][j] for i in range(m)) <= 0
             assert sum(y[i] * rhs[i] for i in range(m)) > 0
 
+
+
+def _first_pivot_tied(rows, rhs):
+    """Whether the ratio test of the first Bland pivot has a tie."""
+    signed = [[-a for a in r] + [-b] if b < 0 else list(r) + [b] for r, b in zip(rows, rhs)]
+    enter = next((j for j in range(len(rows[0])) if sum(r[j] for r in signed) > 0), None)
+    if enter is None:
+        return False
+    ratios = [Fraction(r[-1], r[enter]) for r in signed if r[enter] > 0]
+    return ratios.count(min(ratios)) > 1
+
+
+def test_phase_one_agrees_with_fraction_oracle_on_random_systems():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    tied = negative = 0
+    for trial in range(1500):
+        m, n = rng.randint(1, 8), rng.randint(1, 12)
+        rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(m)]
+        if trial % 2:
+            # rhs = rows . x0 for a sparse x0 >= 0: feasible and often degenerate
+            x0 = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+            rhs = [sum(a * b for a, b in zip(row, x0)) for row in rows]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            # a row repeated with a multiple of its right-hand side: ratio ties
+            i, j = rng.sample(range(m), 2)
+            c = rng.choice((1, 2, -1))
+            rows[j], rhs[j] = [c * a for a in rows[i]], c * rhs[i]
+        got = phase_one(rows, rhs)
+        assert got == oracle_phase_one(rows, rhs), (rows, rhs)
+        outcomes[got[0]] += 1
+        tied += _first_pivot_tied(rows, rhs)
+        negative += any(b < 0 for b in rhs)
+    assert min(outcomes.values()) >= 300
+    assert tied >= 150 and negative >= 500
 
 def _minor_rank(rows):
     """Size of the largest non-zero minor, by Bareiss determinants."""

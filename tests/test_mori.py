@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from fm_oracle import fan_is_projective
+from fraction_oracle import solve_columns
 from toricfan.fan import wall_lookup, walls
 from toricfan.gallery import get_fan
 from toricfan.intersection import all_relations
 from toricfan.lattice import vdot
+import toricfan.mori as mori_mod
 from toricfan.mori import (
     Birational,
     Fibration,
@@ -110,3 +112,76 @@ def test_contraction_bounds(oda):
 def test_fm_oracle_agrees_on_small_set(p2, p3, f1, p1xp1, oda):
     for f in (p2, p3, f1, p1xp1, oda.fan, get_fan("xab", 1, 0).fan, get_fan("xab", 0, 2).fan):
         assert fan_is_projective(f) == is_projective(f).projective
+
+
+def _wrong_answers():
+    """phase_one stand-ins that return a wrong verdict or a wrong proof."""
+
+    def negative_combination(rows, rhs):
+        # an exact rational combination of the other classes, but with a
+        # negative coefficient: only possible when the target is extremal
+        columns = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+        return True, solve_columns(columns, rhs), None
+
+    def zero_combination(rows, rhs):
+        return True, [Fraction(0)] * len(rows[0]), None
+
+    def zero_certificate(rows, rhs):
+        return False, None, [Fraction(0)] * len(rows)
+
+    def target_as_certificate(rows, rhs):
+        # y . target > 0, so y is positive on some other class whenever the
+        # target is a nonnegative combination of them
+        return False, None, [Fraction(b) for b in rhs]
+
+    return {
+        "negative_combination": (negative_combination, (0, 1, 0, 1)),
+        "zero_combination": (zero_combination, (0, 1, 0, 1)),
+        "zero_certificate": (zero_certificate, (1, 0, 1, 1)),
+        "target_as_certificate": (target_as_certificate, (1, 0, 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_wrong_answers()))
+def test_extremality_verdict_is_reverified(monkeypatch, f1, name):
+    fake, target = _wrong_answers()[name]
+    # the real verdicts: (0, 1, 0, 1) is extremal, (1, 0, 1, 1) is not
+    assert mori_mod._extremal_raw(f1, target) == (target == (0, 1, 0, 1))
+    monkeypatch.setattr(mori_mod, "phase_one", fake)
+    with pytest.raises(AssertionError, match="extremality"):
+        mori_mod._extremal_raw(f1, target)
+
+
+def test_wrong_extremality_answer_exits_3(monkeypatch, capsys, tmp_path, f1):
+    import toricfan.fan as fan_mod
+    from toricfan.cli import run
+
+    path = tmp_path / "f1.json"
+    path.write_text(f1.to_json())
+    monkeypatch.setattr(mori_mod, "phase_one", _wrong_answers()["zero_certificate"][0])
+    fan_mod._memo.cache_clear()  # pose the extremality LPs afresh
+    assert run(["mori", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: extremality")
+
+
+@pytest.mark.parametrize("scale", [Fraction(0), Fraction(1, 2)])
+def test_projectivity_witness_is_reverified(monkeypatch, p2, scale):
+    real = mori_mod.phase_one
+
+    def shrunk(rows, rhs):
+        feasible, x, y = real(rows, rhs)
+        return feasible, [scale * v for v in x], y
+
+    assert mori_mod._projectivity_raw(p2).projective
+    monkeypatch.setattr(mori_mod, "phase_one", shrunk)
+    with pytest.raises(AssertionError, match="ample witness"):
+        mori_mod._projectivity_raw(p2)
+
+
+def test_zero_projectivity_certificate_is_rejected(monkeypatch, oda):
+    # an all-zero Farkas vector has gcd 0: it must fail the sign check, not divide by it
+    monkeypatch.setattr(mori_mod, "phase_one", lambda rows, rhs: (False, None, [Fraction(0)] * len(rows)))
+    with pytest.raises(AssertionError, match="certificate signs"):
+        mori_mod._projectivity_raw(oda.fan)

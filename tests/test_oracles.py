@@ -7,7 +7,9 @@ enumeration in dimension three, and the local fan-property criterion of
 `validate` is cross-checked against the all-pairs face test on a seeded
 corpus of complete fans and their mutants.  On the same corpus and the
 Ewald tower, the integer adjugate behind the wall relations and the facet
-normals is cross-checked against rational Gauss-Jordan elimination.
+normals is cross-checked against rational Gauss-Jordan elimination, and the
+integer-tableau simplex against the rational one on every projectivity,
+extremality and pairwise-fallback linear program the library poses.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import math
 import random
 
 from fm_oracle import feasible_geq_one
+from fraction_oracle import phase_one as oracle_phase_one
 from fraction_oracle import solve_columns
 from toricfan.birational import star_subdivision
 from toricfan.ewald import ewald_blow_down, suspend
@@ -393,3 +396,46 @@ def test_valid_tower_level_validates_without_lp(monkeypatch):
     report = fan_mod._validate_raw(f)
     assert report.valid
     assert calls == []
+
+
+def _differential_phase_one(module, monkeypatch):
+    """Make `module.phase_one` run the integer kernel and the Fraction oracle
+    on every system it is given and require exactly equal (feasible, x, y);
+    returns the list of outcomes, one per system."""
+    outcomes = []
+
+    def both(rows, rhs):
+        got = phase_one(rows, rhs)
+        assert got == oracle_phase_one(rows, rhs), (rows, rhs)
+        outcomes.append(got[0])
+        return got
+
+    monkeypatch.setattr(module, "phase_one", both)
+    return outcomes
+
+
+def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
+    import toricfan.mori as mori_mod
+
+    outcomes = _differential_phase_one(mori_mod, monkeypatch)
+    dims = set()
+    verdicts = []
+    for f in _differential_corpus() + _tower_levels():
+        if not validate(f).valid:
+            continue
+        verdicts.append(mori_mod._projectivity_raw(f).projective)
+        for vec, _ in mori_mod.mori_generators(f):
+            mori_mod._extremal_raw(f, vec)
+        dims.add(f.dim)
+    assert dims == {2, 3, 4, 5, 6, 7}
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 10
+    assert outcomes.count(True) >= 250 and outcomes.count(False) >= 150
+
+
+def test_pair_fallback_lps_agree_with_fraction_oracle(monkeypatch):
+    import toricfan.fan as fan_mod
+
+    outcomes = _differential_phase_one(fan_mod, monkeypatch)
+    for f in _differential_corpus():
+        _all_pairs_report(f)
+    assert outcomes.count(True) >= 600 and outcomes.count(False) >= 1200
