@@ -238,25 +238,22 @@ def _transverse_finding(x, curve_wall, rec, w, rel) -> PhenomenonFinding:
     if vadd(xt.rays[e], xt.rays[e_prime]) != xt.rays[r]:
         raise InvariantViolation("exceptional ray plus opposite apex does not sum to the contracted ray")
 
-    if r in rec.center:
-        y = blow_down(xt, r, (e, e_prime))
-        if not is_projective(y).projective:
-            raise InvariantViolation("elementary-transformation image is not projective")
-        center = tuple(sorted((reindex_after_removal(e, r), reindex_after_removal(e_prime, r))))
-        if star_subdivision(y, center).result != xt:
-            raise InvariantViolation("re-blowing up the transformation center does not reproduce the blow-up fan")
-        return PhenomenonFinding(ELEMENTARY_TRANSFORMATION, w, 1, {"Y": y, "center": center})
-
-    if r not in curve_wall.apexes:
-        raise InvariantViolation(
-            f"the contracted ray {r} is neither a curve ray nor a curve apex"
-        )
+    elementary = r in rec.center
+    if elementary:
+        image, center_name = "elementary-transformation", "transformation"
+    elif r in curve_wall.apexes:
+        image, center_name = "trivial-reduction", "reduction"
+    else:
+        raise InvariantViolation(f"the contracted ray {r} is neither a curve ray nor a curve apex")
     y = blow_down(xt, r, (e, e_prime))
     if not is_projective(y).projective:
-        raise InvariantViolation("trivial-reduction image is not projective")
+        raise InvariantViolation(f"{image} image is not projective")
     center = tuple(sorted((reindex_after_removal(e, r), reindex_after_removal(e_prime, r))))
     if star_subdivision(y, center).result != xt:
-        raise InvariantViolation("re-blowing up the reduction center does not reproduce the blow-up fan")
+        raise InvariantViolation(f"re-blowing up the {center_name} center does not reproduce the blow-up fan")
+    if elementary:
+        return PhenomenonFinding(ELEMENTARY_TRANSFORMATION, w, 1, {"Y": y, "center": center})
+
     x_prime = blow_down(x, r, curve_wall.rays + (e_prime,))
     if is_projective(x_prime).projective:
         raise InvariantViolation("the reduced variety is projective although X is not")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fan import Fan, MalformedInput, NotAWall, Wall, validate, wall_lookup, walls
+from .fan import Fan, MalformedInput, NotAWall, Wall, cone_bases, derived, validate, wall_lookup, walls
 from .intersection import all_relations
-from .lattice import content, determinant, vsum
+from .lattice import content, vsum
 
 
 class NotAFace(ValueError):
@@ -172,18 +172,17 @@ def blow_down(f: Fan, ray: int, decomposition) -> Fan:
     for t, seen in groups.items():
         if seen != set(S):
             raise BadStarShape(f"group with residue {t} covers only {sorted(seen)} of {S}")
-    new_cones = [c for c in f.max_cones if ray not in c]
-    for t in groups:
-        new_cones.append(tuple(sorted(set(S) | set(t))))
+    replacements = [tuple(sorted(set(S) | set(t))) for t in groups]
+    new_cones = [c for c in f.max_cones if ray not in c] + replacements
     # drop the contracted ray and reindex
     remap = {old: old - (old > ray) for old in range(f.n_rays) if old != ray}
     rays = tuple(r for i, r in enumerate(f.rays) if i != ray)
     cones = tuple(tuple(sorted(remap[i] for i in c)) for c in new_cones)
-    for t in groups:
-        cone = tuple(sorted(set(S) | set(t)))
-        if abs(determinant([f.rays[i] for i in cone])) != 1:
-            raise ResultSingular(f"replacement cone {cone} is not unimodular")
     result = Fan(f.dim, rays, cones)
+    bases = derived(result, cone_bases)
+    for cone in replacements:
+        if abs(bases[tuple(remap[i] for i in cone)][0]) != 1:
+            raise ResultSingular(f"replacement cone {cone} is not unimodular")
     report = validate(result)
     if not report.valid:
         raise BadStarShape(f"blow-down produced an invalid fan: {report.failures}")

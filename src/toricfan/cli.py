@@ -6,15 +6,17 @@ Every command reads and writes the canonical fan schema
 rationals rendered as exact "p/q" strings; a one-line human summary goes to
 stderr.  Exit codes: 0 success, 1 a property check failed (for example an
 invalid fan, or in-range indices naming no wall or face), 2 malformed input
-(including ray indices out of range and vectors of the wrong length), 3 a
-structural invariant was violated during analysis or a result failed its
-exact re-verification.
+(including ray indices out of range, vectors of the wrong length and integers
+not written in ASCII digits with an optional leading minus), 3 a structural
+invariant was violated during analysis or a result failed its exact
+re-verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import analyzer, birational, ewald, gallery, intersection, mori
@@ -35,10 +37,18 @@ def _emit(payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus; `int` alone
+    would also accept other scripts' digits, underscores and spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _indices(text: str):
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_integer(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise MalformedInput(f"expected a comma-separated index list, got {text!r}") from None
 
 
@@ -218,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowdown", help="inverse star subdivision")
     p.add_argument("fan")
-    p.add_argument("--ray", required=True, type=int)
+    p.add_argument("--ray", required=True, type=_integer)
     p.add_argument("--sum", required=True, help="comma-separated decomposition ray indices")
     p.set_defaults(func=_cmd_blowdown)
 
@@ -235,17 +245,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ewald_suspend)
     p = esub.add_parser("blowdown")
     p.add_argument("fan")
-    p.add_argument("--ray", required=True, type=int)
+    p.add_argument("--ray", required=True, type=_integer)
     p.set_defaults(func=_cmd_ewald_blowdown)
     p = esub.add_parser("tower")
     p.add_argument("fan")
     p.add_argument("--curve", required=True)
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_integer)
     p.set_defaults(func=_cmd_ewald_tower)
 
     p = sub.add_parser("gallery", help="emit a built-in fan")
     p.add_argument("name")
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=_integer)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gallery)
     return parser

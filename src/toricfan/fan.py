@@ -8,7 +8,10 @@ that the data describes a smooth complete toric variety.  For complete data
 the fan property is decided locally, from the orientations of the two cones
 on each wall and the number of cones containing one generic point; pairwise
 cone intersections are examined only for incomplete data and to name the
-offending pairs of a rejected fan.
+offending pairs of a rejected fan.  Every cone-basis question (smoothness,
+orientations, generic points, facet normals, wall relations) reads one
+derived table, `cone_bases`: each maximal cone's determinant and integer
+adjugate, computed once per fan data.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import cached_property, lru_cache
 from .lattice import (
     ZeroVector,
     adjugate,
-    determinant,
     phase_one,
     primitive_vector,
     vdot,
@@ -236,12 +238,11 @@ def _validate_raw(f: Fan) -> ValidationReport:
     apply, and after a local rejection, to name the pairs that overlap.
     """
     dim, rays, cones = f.dim, f.rays, f.max_cones
+    bases = derived(f, cone_bases)
     failures = []
-    dets = {}
     smooth = True
     for cone in cones:
-        d = determinant([rays[i] for i in cone])
-        dets[cone] = d
+        d = bases[cone][0]
         if abs(d) != 1:
             smooth = False
             failures.append(f"cone {cone} has determinant {d}")
@@ -261,14 +262,14 @@ def _validate_raw(f: Fan) -> ValidationReport:
         if i not in used:
             proper = False
             failures.append(f"ray {i} is not a face of any maximal cone")
-    degenerate = {c for c, d in dets.items() if d == 0}
+    degenerate = {c for c, (d, _) in bases.items() if d == 0}
     if degenerate:
         proper = False
     local = complete and not degenerate
-    if local and _locally_proper(rays, cones, dets, facets):
+    if local and _locally_proper(rays, cones, bases, facets):
         return ValidationReport(smooth, complete, proper, tuple(failures))
     live = [c for c in cones if c not in degenerate]
-    normals = {c: _facet_normals(rays, c, dets[c]) for c in live}
+    normals = {c: _facet_normals(*bases[c]) for c in live}
     bad = [
         (sa, sb)
         for sa, sb in itertools.combinations(live, 2)
@@ -282,12 +283,24 @@ def _validate_raw(f: Fan) -> ValidationReport:
     return ValidationReport(smooth, complete, proper, tuple(failures))
 
 
-def _locally_proper(rays, cones, dets, facets):
+def cone_bases(f: Fan) -> dict:
+    """Each maximal cone's (det, cols): det is the determinant of its rays in
+    sorted order and cols the columns of their adjugate, so a vector p has
+    coordinates (p . cols[k]) / det in the cone's basis; cols is None when
+    det == 0."""
+    out = {}
+    for cone in f.max_cones:
+        det, adj = adjugate([f.rays[i] for i in cone])
+        out[cone] = (det, None if adj is None else tuple(zip(*adj)))
+    return out
+
+
+def _locally_proper(rays, cones, bases, facets):
     """Conditions (b) and (c) of `_validate_raw` on complete, non-degenerate data."""
     for wall, ((c1, a1), (c2, a2)) in facets.items():
-        if _side(wall, a1, dets[c1]) == _side(wall, a2, dets[c2]):
+        if _side(wall, a1, bases[c1][0]) == _side(wall, a2, bases[c2][0]):
             return False
-    return _covering_number(rays, cones, dets) == 1
+    return _covering_number(rays, cones, bases) == 1
 
 
 def _side(wall, apex, det):
@@ -297,7 +310,7 @@ def _side(wall, apex, det):
     return (det > 0) == (flips % 2 == 0)
 
 
-def _covering_number(rays, cones, dets):
+def _covering_number(rays, cones, bases):
     """Number of cones containing p = sum_k m^k u_k (u_k the rays of the
     first cone) in their interior, for the least m >= 2 that puts p on the
     boundary of no cone.  Such an m exists: each Cramer numerator below is a
@@ -308,7 +321,7 @@ def _covering_number(rays, cones, dets):
         p = vsum(vscale(m**k, u) for k, u in enumerate(base))
         count = 0
         for cone in cones:
-            where = _locate(rays, cone, dets[cone], p)
+            where = _locate(*bases[cone], p)
             if where is None:
                 break
             count += where
@@ -317,13 +330,13 @@ def _covering_number(rays, cones, dets):
         m += 1
 
 
-def _locate(rays, cone, det, p):
+def _locate(det, cols, p):
     """1 if p is interior to the cone, 0 if outside it, None if on its
-    boundary: the signs of p's Cramer coordinates det(cone, row k := p)/det."""
-    mat = [rays[i] for i in cone]
+    boundary: the signs of p's Cramer coordinates (p . cols[k]) / det, where
+    p . cols[k] = det(cone rays, row k := p)."""
     on_boundary = False
-    for k in range(len(mat)):
-        s = determinant(mat[:k] + [p] + mat[k + 1 :])
+    for col in cols:
+        s = vdot(p, col)
         if s == 0:
             on_boundary = True
         elif (s > 0) != (det > 0):
@@ -331,13 +344,12 @@ def _locate(rays, cone, det, p):
     return None if on_boundary else 1
 
 
-def _facet_normals(rays, cone, det):
+def _facet_normals(det, cols):
     """Integer functionals h_k with h_k(u_j) = |det| * delta_jk over the cone:
     the columns of the adjugate, scaled by the sign of det.  For a unimodular
     cone they are the dual basis."""
     sign = 1 if det > 0 else -1
-    _, adj = adjugate([rays[i] for i in cone])
-    return [tuple(sign * a for a in col) for col in zip(*adj)]
+    return [tuple(sign * a for a in col) for col in cols]
 
 
 def _pair_is_face(rays, sa, sb, normals_a, normals_b):
@@ -441,7 +453,11 @@ def lattice_isomorphism(f: Fan, g: Fan):
         return None
     g_ray_set = set(g.rays)
     g_cone_set = set(g.max_cones)
+    g_bases = derived(g, cone_bases)
     for target in g.max_cones:
+        # det M = +-det(target) / det, so M is unimodular iff |det(target)| = |det|
+        if abs(g_bases[target][0]) != abs(det):
+            continue
         for perm in itertools.permutations(target):
             img = [g.rays[i] for i in perm]
             # solve base . M = img row-wise: det * M = adj . img
@@ -449,8 +465,6 @@ def lattice_isomorphism(f: Fan, g: Fan):
             if any(a % det for row in M for a in row):
                 continue
             M = [tuple(a // det for a in row) for row in M]
-            if abs(determinant(M)) != 1:
-                continue
             mapped = {}
             ok = True
             for idx, r in enumerate(f.rays):

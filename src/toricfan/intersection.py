@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fan import Fan, NotAWall, Wall, derived, walls
-from .lattice import adjugate, vdot
+from .fan import Fan, NotAWall, Wall, cone_bases, derived, walls
+from .lattice import vdot
 
 CurveClass = tuple[int, ...]
 
@@ -58,22 +58,22 @@ def _relations_map(f: Fan) -> dict[Wall, WallRelation]:
 
 
 def _solve_relation(f: Fan, w: Wall) -> WallRelation:
-    """The far apex u_a2 in the basis of the near cone (wall rays, u_a1):
-    its coordinates are (u_a2 . adj) / det."""
+    """The far apex u_a2 in the basis of the near cone (wall rays, u_a1), from
+    its `cone_bases` entry: (u_a2 . col) / det, a ratio free of row order."""
     a1, a2 = w.apexes
-    det, adj = adjugate([f.rays[i] for i in w.rays] + [f.rays[a1]])
-    if adj is None:
+    near = tuple(sorted(w.rays + (a1,)))
+    det, cols = derived(f, cone_bases)[near]
+    if cols is None:
         raise NotAWall(f"wall {w} spans a degenerate configuration")
-    *ray_nums, apex_num = (vdot(f.rays[a2], col) for col in zip(*adj))
-    if apex_num != -det:
+    num = {i: vdot(f.rays[a2], col) for i, col in zip(near, cols)}
+    if num[a1] != -det:
         raise NotAWall(f"apexes of {w} do not lie on opposite sides; fan is not smooth/proper")
     full = [0] * f.n_rays
-    full[a1] = 1
-    full[a2] = 1
-    for idx, num in zip(w.rays, ray_nums):
-        if num % det:
+    full[a1] = full[a2] = 1
+    for idx in w.rays:
+        if num[idx] % det:
             raise NotAWall(f"non-integral relation across {w}; fan is not smooth")
-        full[idx] = -num // det
+        full[idx] = -num[idx] // det
     return WallRelation(w, tuple(full))
 
 

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra underlying all fan computations.
 
-Elimination (determinants, adjugates) and the exact simplex `phase_one` are
-fraction-free over Python ints: the simplex keeps an integer tableau over one
-common denominator, and `fractions.Fraction` appears only in the solution and
-the Farkas certificate it returns.  No floating point is used anywhere.
+The one elimination routine, `adjugate` (which also yields the determinant),
+and the exact simplex `phase_one` are fraction-free over Python ints: the
+simplex keeps an integer tableau over one common denominator, and
+`fractions.Fraction` appears only in the solution and the Farkas certificate
+it returns.  No floating point is used anywhere.
 Vectors are plain tuples, matrices are sequences of row vectors.
 """
 
@@ -63,38 +64,6 @@ def primitive_vector(v: LatticePoint) -> LatticePoint:
     if g == 1:
         return tuple(v)
     return tuple(a // g for a in v)
-
-
-def determinant(vs) -> int:
-    """Exact determinant of the integer matrix whose rows are `vs`.
-
-    Uses fraction-free Bareiss elimination, so intermediate values stay
-    integral regardless of size.
-    """
-    rows = [list(r) for r in vs]
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise DimensionMismatch(f"need {n} vectors of dimension {n}")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
 
 
 def adjugate(rows):

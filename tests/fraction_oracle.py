@@ -1,14 +1,17 @@
-"""Rational Gauss-Jordan elimination and the rational phase-one simplex over
-`fractions.Fraction`: the test oracles for the fraction-free
-`toricfan.lattice.adjugate` and `toricfan.lattice.phase_one`.
+"""Rational Gauss-Jordan elimination, the Bareiss `determinant` and the
+rational phase-one simplex over `fractions.Fraction`: the test oracles for the
+fraction-free `toricfan.lattice.adjugate`, the cone-basis table
+`toricfan.fan.cone_bases` built on it, and `toricfan.lattice.phase_one`.
 
-These routines solved the library's cone-basis systems and linear programs
-before the integer adjugate and the integer-tableau simplex replaced them;
-they are kept unchanged, outside the library, so the tests can run the new
-kernels differentially against the old ones.
+These routines solved the library's cone-basis systems, determinants and
+linear programs before the integer adjugate and the integer-tableau simplex
+replaced them; they are kept unchanged, outside the library, so the tests can
+run the new kernels differentially against the old ones.
 """
 
 from fractions import Fraction
+
+from toricfan.lattice import DimensionMismatch
 
 
 def _gauss_jordan(aug, ncols):
@@ -81,6 +84,38 @@ def unimodular_inverse(rows):
     if any(a.denominator != 1 for row in inv for a in row):
         raise ValueError("matrix is not unimodular")
     return [tuple(int(a) for a in row) for row in inv]
+
+
+def determinant(vs) -> int:
+    """Exact determinant of the integer matrix whose rows are `vs`.
+
+    Uses fraction-free Bareiss elimination, so intermediate values stay
+    integral regardless of size.
+    """
+    rows = [list(r) for r in vs]
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise DimensionMismatch(f"need {n} vectors of dimension {n}")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1]
 
 
 def phase_one(rows, rhs):

@@ -211,3 +211,30 @@ def test_in_range_non_faces_still_exit_1(capsys, fan_file, oda, argv):
     path = fan_file("oda.json", oda.fan)
     assert run([a.format(path) for a in argv]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{}", "--curve", "١,٤"],  # Arabic-Indic digits 1, 4
+        ["analyze", "{}", "--curve", "0_1,4"],
+        ["analyze", "{}", "--curve", "1, 4"],
+        ["blowup", "{}", "--center", "+0,1"],
+        ["blowdown", "{}", "--ray", "0_6", "--sum", "1,4"],
+        ["ewald", "suspend", "{}", "--v", "0,１,0"],  # fullwidth digit one
+        ["ewald", "blowdown", "{}", "--ray", "٢"],
+        ["ewald", "tower", "{}", "--curve", "1,4", "--steps", "0_1"],
+        ["ewald", "tower", "{}", "--curve", "1,4", "--steps", " 1"],
+        ["gallery", "ewald-tower", "1_0"],
+        ["gallery", "pn", "٢"],
+    ],
+)
+def test_malformed_integers_exit_2(capsys, fan_file, oda, argv):
+    path = fan_file("oda.json", oda.fan)
+    assert run([a.format(path) for a in argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_integers_still_parse(capsys):
+    assert run(["gallery", "xab", "-1", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 3

@@ -4,7 +4,6 @@ import random
 import pytest
 
 import toricfan.fan as fan_mod
-import toricfan.intersection as intersection_mod
 from toricfan.fan import (
     MEMO_SIZE,
     Fan,
@@ -170,20 +169,20 @@ def test_constructor_rejects_non_integer_dimension():
 def test_equal_data_shares_derived_data(oda, monkeypatch):
     fan_mod._memo.cache_clear()
     calls = []
-    solve = intersection_mod.adjugate
+    solve = fan_mod.adjugate
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(intersection_mod, "adjugate", counting)
+    monkeypatch.setattr(fan_mod, "adjugate", counting)
     data = (oda.fan.dim, oda.fan.rays, oda.fan.max_cones)
     first, second = Fan(*data), Fan(*data)
     assert first is not second
     relations = all_relations(first)
-    assert len(calls) == len(walls(first))
+    assert len(calls) == len(first.max_cones)  # one basis per cone, not one per wall
     assert all_relations(second) == relations
-    assert len(calls) == len(walls(first))
+    assert len(calls) == len(first.max_cones)
 
 
 def test_ray_permuted_copy_has_its_own_indices(oda):

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_oracle import determinant, rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from fraction_oracle import phase_one as oracle_phase_one
-from fraction_oracle import rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from toricfan.lattice import (
     DimensionMismatch,
     ZeroVector,
     adjugate,
-    determinant,
     phase_one,
     primitive_vector,
     vadd,

@@ -6,8 +6,9 @@ fan-property test is cross-checked against a brute-force extreme-ray
 enumeration in dimension three, and the local fan-property criterion of
 `validate` is cross-checked against the all-pairs face test on a seeded
 corpus of complete fans and their mutants.  On the same corpus and the
-Ewald tower, the integer adjugate behind the wall relations and the facet
-normals is cross-checked against rational Gauss-Jordan elimination, and the
+Ewald tower, the cone-basis table behind the wall relations, the facet
+normals and the generic-point test is cross-checked against the Bareiss
+determinant and rational Gauss-Jordan elimination, and the
 integer-tableau simplex against the rational one on every projectivity,
 extremality and pairwise-fallback linear program the library poses.
 """
@@ -17,8 +18,8 @@ import math
 import random
 
 from fm_oracle import feasible_geq_one
+from fraction_oracle import determinant, rational_inverse, solve_columns
 from fraction_oracle import phase_one as oracle_phase_one
-from fraction_oracle import solve_columns
 from toricfan.birational import star_subdivision
 from toricfan.ewald import ewald_blow_down, suspend
 from toricfan.fan import (
@@ -27,13 +28,16 @@ from toricfan.fan import (
     NotAWall,
     _facet_map,
     _facet_normals,
+    _locate,
     _pair_is_face,
+    cone_bases,
+    derived,
     validate,
     walls,
 )
 from toricfan.gallery import get_fan
 from toricfan.intersection import _solve_relation
-from toricfan.lattice import determinant, phase_one, primitive_vector, vdot
+from toricfan.lattice import phase_one, primitive_vector, vdot, vscale, vsum
 
 
 def _lp_feasible_geq_one(matrix):
@@ -63,11 +67,25 @@ def _cross(a, b):
     )
 
 
+def _oracle_basis(mat):
+    """(det, adjugate columns) of a cone from the Bareiss determinant and the
+    rational inverse: the oracle for an entry of `cone_bases`."""
+    det = determinant(mat)
+    inv = rational_inverse(mat)
+    if inv is None:
+        return det, None
+    return det, tuple(tuple(int(det * a) for a in col) for col in zip(*inv))
+
+
+def _oracle_normals(rays, cone):
+    """`_facet_normals` of the cone, fed the oracle's (det, cols)."""
+    return _facet_normals(*_oracle_basis([rays[i] for i in cone]))
+
+
 def _pair_is_face_bruteforce(rays, sa, sb):
     """Decide the common-face property by enumerating extreme rays of
     {lambda >= 0 : lambda in cone(sa)-coordinates maps into cone(sb)}."""
-    na = _facet_normals(rays, sa, determinant([rays[i] for i in sa]))
-    nb = _facet_normals(rays, sb, determinant([rays[i] for i in sb]))
+    nb = _oracle_normals(rays, sb)
     # constraints on lambda: identity (lambda >= 0) and B (sb-coordinates >= 0)
     B = [[vdot(rays[sa[i]], nb[j]) for i in range(3)] for j in range(3)]
     constraints = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [tuple(row) for row in B]
@@ -108,8 +126,8 @@ def test_pair_face_check_agrees_with_enumeration():
         if fan_rays != rays:
             continue
         tried += 1
-        na = _facet_normals(rays, sa, da)
-        nb = _facet_normals(rays, sb, db)
+        na = _oracle_normals(rays, sa)
+        nb = _oracle_normals(rays, sb)
         fast = _pair_is_face(rays, sa, sb, na, nb)
         brute = _pair_is_face_bruteforce(rays, sa, sb)
         assert fast == brute, (rays, fast, brute)
@@ -121,8 +139,8 @@ def test_overlapping_pair_needs_lp_fallback(monkeypatch):
     # both one-sided certificates fail here, so the exact LP decides
     rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 2, -1), (1, -1, 2))
     sa, sb = (0, 1, 2), (0, 3, 4)
-    na = _facet_normals(rays, sa, determinant([rays[i] for i in sa]))
-    nb = _facet_normals(rays, sb, determinant([rays[i] for i in sb]))
+    na = _oracle_normals(rays, sa)
+    nb = _oracle_normals(rays, sb)
     calls = []
     import toricfan.fan as fan_mod
 
@@ -142,8 +160,8 @@ def test_touching_pair_through_lp_fallback():
     # cheap certificates on at least one side
     rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 2, -1), (1, -1, -2))
     sa, sb = (0, 1, 2), (0, 3, 4)
-    na = _facet_normals(rays, sa, determinant([rays[i] for i in sa]))
-    nb = _facet_normals(rays, sb, determinant([rays[i] for i in sb]))
+    na = _oracle_normals(rays, sa)
+    nb = _oracle_normals(rays, sb)
     assert _pair_is_face(rays, sa, sb, na, nb)
     assert _pair_is_face_bruteforce(rays, sa, sb)
 
@@ -209,7 +227,7 @@ def _all_pairs_report(f):
     unused = [i for i in range(len(rays)) if i not in used]
     failures += [f"ray {i} is not a face of any maximal cone" for i in unused]
     live = [c for c in cones if dets[c] != 0]
-    normals = {c: _facet_normals(rays, c, dets[c]) for c in live}
+    normals = {c: _oracle_normals(rays, c) for c in live}
     bad = [
         (sa, sb)
         for sa, sb in itertools.combinations(live, 2)
@@ -346,12 +364,13 @@ def test_wall_relations_agree_with_rational_elimination():
 def test_facet_normals_are_scaled_dual_bases():
     checked = non_unimodular = 0
     for f in _differential_corpus() + _tower_levels():
-        for cone in f.max_cones:
+        for cone, (det, cols) in derived(f, cone_bases).items():
             mat = [f.rays[i] for i in cone]
-            det = determinant(mat)
+            assert det == determinant(mat)
             if det == 0:
+                assert cols is None
                 continue
-            normals = _facet_normals(f.rays, cone, det)
+            normals = _facet_normals(det, cols)
             assert [[vdot(h, u) for u in mat] for h in normals] == [
                 [abs(det) * int(j == k) for j in range(f.dim)] for k in range(f.dim)
             ]
@@ -383,7 +402,9 @@ def test_generic_point_moves_off_cone_boundaries():
 def test_valid_tower_level_validates_without_lp(monkeypatch):
     import toricfan.fan as fan_mod
 
-    f = get_fan("ewald-tower", 2).fan
+    level = get_fan("ewald-tower", 2).fan
+    fan_mod._memo.cache_clear()
+    f = Fan(level.dim, level.rays, level.max_cones)
     calls = []
     for name in ("phase_one", "_facet_normals", "adjugate"):
         original = getattr(fan_mod, name)
@@ -393,9 +414,32 @@ def test_valid_tower_level_validates_without_lp(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(fan_mod, name, counting)
-    report = fan_mod._validate_raw(f)
-    assert report.valid
-    assert calls == []
+    assert validate(f).valid
+    assert calls == ["adjugate"] * len(f.max_cones)
+
+
+def test_locate_numerators_agree_with_cramer_determinants():
+    """The table's p . cols[k] equals the Cramer numerator det(cone rays,
+    row k := p) of the Bareiss oracle, and `_locate` reads the right signs
+    from it, for the points the generic-point test tries with m = 2..4."""
+    outcomes = {0: 0, 1: 0, None: 0}
+    for f in _differential_corpus() + _tower_levels():
+        first = [f.rays[i] for i in f.max_cones[0]]
+        points = [vsum(vscale(m**k, u) for k, u in enumerate(first)) for m in (2, 3, 4)]
+        for cone, (det, cols) in derived(f, cone_bases).items():
+            if det == 0:
+                continue
+            mat = [f.rays[i] for i in cone]
+            for p in points:
+                nums = [determinant(mat[:k] + [p] + mat[k + 1 :]) for k in range(f.dim)]
+                assert [vdot(p, col) for col in cols] == nums, f.to_json()
+                if any(s != 0 and (s > 0) != (det > 0) for s in nums):
+                    expected = 0
+                else:
+                    expected = None if 0 in nums else 1
+                assert _locate(det, cols, p) == expected
+                outcomes[expected] += 1
+    assert outcomes[0] >= 3000 and outcomes[1] >= 400 and outcomes[None] >= 1
 
 
 def _differential_phase_one(module, monkeypatch):
