@@ -11,7 +11,15 @@ cone intersections are examined only for incomplete data and to name the
 offending pairs of a rejected fan.  Every cone-basis question (smoothness,
 orientations, generic points, facet normals, wall relations) reads one
 derived table, `cone_bases`: each maximal cone's determinant and integer
-adjugate, computed once per fan data.
+adjugate, computed once per fan data by a walk over the cones' dual graph.
+One full adjugate seeds each connected component.  A cone across a facet of
+a visited cone (det, cols), with apex u in place of that cone's ray k and
+nums[j] = u . cols[j], has determinant nums[k], keeps column k and gets
+every other column j as (nums[k] cols[j] - nums[j] cols[k]) / det; the new
+ray then moves to its sorted slot, negating everything if the shift is odd.
+The result satisfies the new adjugate's defining equations, so it is that
+integer matrix and the division is exact (Sylvester's identity, as in the
+Bareiss pivots of `lattice.phase_one`).
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ class Fan:
                 raise MalformedInput(f"maximal cone {cone} does not have {self.dim} distinct rays")
             if cone and (cone[0] < 0 or cone[-1] >= len(rays)):
                 raise MalformedInput(f"cone {cone} references a ray out of range")
+            if cone in cones:
+                raise MalformedInput(f"maximal cone {cone} is listed twice")
             cones.add(cone)
         object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "max_cones", tuple(sorted(cones)))
@@ -287,12 +297,64 @@ def cone_bases(f: Fan) -> dict:
     """Each maximal cone's (det, cols): det is the determinant of its rays in
     sorted order and cols the columns of their adjugate, so a vector p has
     coordinates (p . cols[k]) / det in the cone's basis; cols is None when
-    det == 0."""
+    det == 0.
+
+    The table is built by a walk over the dual graph of the cones.  The
+    first unvisited cone (in sorted order) is a seed and gets one full
+    `adjugate`; every unvisited cone sharing a facet with a visited cone of
+    non-zero determinant D is derived from it by one fraction-free exchange:
+    the apex u of the new cone replaces the ray in slot k, with
+    nums[j] = u . cols[j].  The new determinant is nums[k] (cofactor
+    expansion along row k); column k is kept, and every other column j
+    becomes (nums[k] cols[j] - nums[j] cols[k]) / D, which satisfies the
+    adjugate's defining equations for the new rows and is therefore the
+    new adjugate, an integer matrix: the division is exact (Sylvester's
+    identity, Bareiss 1968), the same update `phase_one` pivots with.
+    Moving u from slot k to its sorted slot is |pos - k| adjacent row swaps,
+    each negating the determinant and every column.  A cone reached only
+    through degenerate cones, or not at all, is a seed of its own.
+
+    The facet map the walk needs is built here and dropped: sharing it
+    through `derived` would keep one more per-fan dict alive in the memo
+    for a small saving.
+    """
+    facets = _facet_map(f.dim, f.max_cones)
     out = {}
-    for cone in f.max_cones:
-        det, adj = adjugate([f.rays[i] for i in cone])
-        out[cone] = (det, None if adj is None else tuple(zip(*adj)))
+    for seed in f.max_cones:
+        if seed in out:
+            continue
+        det, adj = adjugate([f.rays[i] for i in seed])
+        out[seed] = (det, None if adj is None else tuple(zip(*adj)))
+        queue = [seed]
+        for cone in queue:
+            det, cols = out[cone]
+            if cols is None:
+                continue
+            for k in range(f.dim):
+                facet = cone[:k] + cone[k + 1 :]
+                for other, apex in facets[facet]:
+                    if other not in out:
+                        out[other] = _exchange(det, cols, k, f.rays[apex], other.index(apex))
+                        queue.append(other)
     return out
+
+
+def _exchange(det, cols, k, u, pos):
+    """(det, cols) of the cone whose ray in slot k is replaced by u, moved to
+    slot pos; see `cone_bases`."""
+    nums = [vdot(u, col) for col in cols]
+    new_det = nums[k]
+    if new_det == 0:
+        return 0, None
+    ck = cols[k]
+    new = [
+        ck if j == k else tuple((new_det * a - nj * b) // det for a, b in zip(col, ck))
+        for j, (col, nj) in enumerate(zip(cols, nums))
+    ]
+    new.insert(pos, new.pop(k))
+    if (pos - k) % 2:
+        return -new_det, tuple(tuple(-a for a in col) for col in new)
+    return new_det, tuple(new)
 
 
 def _locally_proper(rays, cones, bases, facets):
@@ -448,9 +510,10 @@ def lattice_isomorphism(f: Fan, g: Fan):
         return None
     if not f.max_cones:
         return None
-    det, adj = adjugate([f.rays[i] for i in f.max_cones[0]])
-    if adj is None:
+    det, cols = derived(f, cone_bases)[f.max_cones[0]]
+    if cols is None:
         return None
+    adj = tuple(zip(*cols))
     g_ray_set = set(g.rays)
     g_cone_set = set(g.max_cones)
     g_bases = derived(g, cone_bases)

@@ -50,6 +50,15 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert run(["check", str(tmp_path / "missing.json")]) == 2
 
 
+def test_duplicate_maximal_cone_exits_2(capsys, tmp_path):
+    # P^2 with one cone listed twice, in another order: rejected, not merged
+    data = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2], [1, 0]]}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_byte_stable_output(capsys, fan_file, oda):
     path = fan_file("oda.json", oda.fan)
     run(["check", path])

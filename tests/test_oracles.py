@@ -8,7 +8,9 @@ enumeration in dimension three, and the local fan-property criterion of
 corpus of complete fans and their mutants.  On the same corpus and the
 Ewald tower, the cone-basis table behind the wall relations, the facet
 normals and the generic-point test is cross-checked against the Bareiss
-determinant and rational Gauss-Jordan elimination, and the
+determinant and rational Gauss-Jordan elimination, and its dual-graph walk
+against one `adjugate` per cone (also on hand-built data that needs several
+seeds), and the
 integer-tableau simplex against the rational one on every projectivity,
 extremality and pairwise-fallback linear program the library poses.
 """
@@ -37,7 +39,7 @@ from toricfan.fan import (
 )
 from toricfan.gallery import get_fan
 from toricfan.intersection import _solve_relation
-from toricfan.lattice import phase_one, primitive_vector, vdot, vscale, vsum
+from toricfan.lattice import adjugate, phase_one, primitive_vector, vdot, vscale, vsum
 
 
 def _lp_feasible_geq_one(matrix):
@@ -379,6 +381,76 @@ def test_facet_normals_are_scaled_dual_bases():
     assert checked >= 1400 and non_unimodular >= 80
 
 
+def _per_cone_bases(f):
+    """The cone-basis table with one `adjugate` per cone: the oracle for the
+    walk of `cone_bases`."""
+    out = {}
+    for cone in f.max_cones:
+        det, adj = adjugate([f.rays[i] for i in cone])
+        out[cone] = (det, None if adj is None else tuple(zip(*adj)))
+    return out
+
+
+def _seed_fans():
+    """Hand-built data on which the walk needs its `adjugate` seeds, with
+    the number of seeds it takes; none of it goes through validation."""
+    octants = [tuple(i + 3 * (s >> i & 1) for i in range(3)) for s in range(8)]
+    cube = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    return [
+        (Fan(3, cube, tuple(octants)), 1),
+        (Fan(3, cube, tuple(octants[1:])), 1),  # incomplete: a dropped cone
+        # (1, 2) is degenerate and the only link between (0, 1) and (2, 3)
+        (Fan(2, ((1, 0), (1, 1), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3))), 2),
+        # the first cone is degenerate and cuts the other two apart
+        (Fan(2, ((1, 1), (-1, -1), (1, 0), (0, -1)), ((0, 1), (0, 2), (1, 3))), 3),
+        (Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3))), 2),  # two components
+        (Fan(3, cube, (octants[0], octants[7])), 2),  # two components
+        (Fan(1, ((1,), (-1,)), ((0,), (1,))), 1),
+        (Fan(1, ((1,),), ((0,),)), 1),
+        # five rays about 144 degrees apart: the cycle of cones winds twice
+        (Fan(2, ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))), 1),
+    ]
+
+
+def test_walked_cone_bases_agree_with_per_cone_adjugate(monkeypatch):
+    """The walk's table equals the per-cone `adjugate` table and the Bareiss
+    determinant with the rational inverse, entry by entry; a complete,
+    non-degenerate fan costs one `adjugate` call, and each hand-built fan
+    exactly its seeds."""
+    import toricfan.fan as fan_mod
+
+    seeds = []
+
+    def counting(rows):
+        seeds.append(rows)
+        return adjugate(rows)
+
+    monkeypatch.setattr(fan_mod, "adjugate", counting)
+
+    def walked(f):
+        seeds.clear()
+        table = cone_bases(f)
+        assert table == _per_cone_bases(f), f.to_json()
+        for cone, basis in table.items():
+            assert basis == _oracle_basis([f.rays[i] for i in cone]), f.to_json()
+        return table, len(seeds)
+
+    # the hand-built fans first: the corpus is built through validation,
+    # which a broken table can stall
+    for f, expected in _seed_fans():
+        assert walked(f)[1] == expected, f.to_json()
+    cones = degenerate = non_unimodular = 0
+    for f in _differential_corpus() + _tower_levels():
+        table, n_seeds = walked(f)
+        complete = all(len(adjacent) == 2 for adjacent in _facet_map(f.dim, f.max_cones).values())
+        if complete and all(det for det, _ in table.values()):
+            assert n_seeds == 1, f.to_json()
+        cones += len(table)
+        degenerate += sum(1 for det, _ in table.values() if det == 0)
+        non_unimodular += sum(1 for det, _ in table.values() if abs(det) > 1)
+    assert cones >= 1450 and degenerate >= 40 and non_unimodular >= 80
+
+
 def test_degree_two_multifan_is_complete_but_not_proper():
     # five rays about 144 degrees apart: the cycle of cones winds twice
     rays = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
@@ -415,7 +487,7 @@ def test_valid_tower_level_validates_without_lp(monkeypatch):
 
         monkeypatch.setattr(fan_mod, name, counting)
     assert validate(f).valid
-    assert calls == ["adjugate"] * len(f.max_cones)
+    assert calls == ["adjugate"]
 
 
 def test_locate_numerators_agree_with_cramer_determinants():
