@@ -20,20 +20,26 @@ produces; any mismatch raises InvariantViolation instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .birational import BlowupRecord, blow_down, blow_up_curve, reindex_after_removal, star_subdivision
-from .fan import Fan, MalformedInput, Wall, picard_number, validate, wall_lookup, walls
+from .fan import (
+    Fan,
+    InvariantViolation,
+    MalformedInput,
+    PropertyFailure,
+    Wall,
+    picard_number,
+    validate,
+    wall_lookup,
+    walls,
+)
 from .intersection import anticanonical_degree, is_fano, wall_relation
 from .lattice import vadd
 from .mori import is_extremal, is_projective, mori_extremal_classes
 
 
-class InvariantViolation(RuntimeError):
-    """A structural guarantee of the trichotomy failed; bug or bad input."""
-
-
-class NoFiberWall(ValueError):
+class NoFiberWall(PropertyFailure):
     """The blow-up record has no contracted wall to test."""
 
 
@@ -42,14 +48,13 @@ FORBIDDEN_FLIP = "ForbiddenFlip"
 ELEMENTARY_TRANSFORMATION = "ElementaryTransformation"
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
-    guaranteed: bool
-    reason: str | None  # "fano" | "enough_mori_rays" | None
+class GuaranteeReport(namedtuple("GuaranteeReport", "guaranteed reason")):
+    """`reason` is "fano", "enough_mori_rays" or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhenomenonFinding:
+class PhenomenonFinding(namedtuple("PhenomenonFinding", "kind witness_wall e_dot_omega constructed")):
     """One Mori-extremal wall meeting E, classified, with its constructions.
 
     `constructed` holds the auxiliary fans by name: always the contraction
@@ -59,10 +64,7 @@ class PhenomenonFinding:
     (ray indices in Y).
     """
 
-    kind: str
-    witness_wall: Wall
-    e_dot_omega: int
-    constructed: dict
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         data = {
@@ -76,14 +78,30 @@ class PhenomenonFinding:
         return data
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    x_projective: bool
-    xt_projective: bool
-    exceptional_ray: int
-    findings: tuple[PhenomenonFinding, ...]
-    unclassified: tuple[Wall, ...]
-    blowup: BlowupRecord | None = field(default=None, compare=False)
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        "x_projective xt_projective exceptional_ray findings unclassified blowup",
+        defaults=(None,),
+    )
+):
+    """The verdicts on X and its blow-up, the PhenomenonFindings and the
+    unclassified walls; equality ignores the `blowup` record."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, AnalysisReport):
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other):
+        if not isinstance(other, AnalysisReport):
+            return NotImplemented
+        return self[:5] != other[:5]
+
+    def __hash__(self):
+        return hash(self[:5])
 
     def to_dict(self) -> dict:
         return {

@@ -8,32 +8,48 @@ decomposition of the removed ray explicitly and undoes that pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .fan import Fan, MalformedInput, NotAWall, Wall, cone_bases, derived, validate, wall_lookup, walls
+from .fan import (
+    Fan,
+    MalformedInput,
+    NotAWall,
+    PropertyFailure,
+    Wall,
+    cone_bases,
+    derived,
+    validate,
+    wall_lookup,
+    walls,
+)
 from .intersection import all_relations
 from .lattice import content, vsum
 
 
-class NotAFace(ValueError):
+class NotAFace(PropertyFailure):
     """The requested center is not a face of any maximal cone."""
 
 
-class SumMismatch(ValueError):
+class SumMismatch(PropertyFailure):
     """The blow-down ray is not the exact sum of the decomposition rays."""
 
 
-class BadStarShape(ValueError):
+class BadStarShape(PropertyFailure):
     """The star of the blow-down ray is not an inverse star subdivision."""
 
 
-class ResultSingular(ValueError):
+class ResultSingular(PropertyFailure):
     """A blow-down replacement cone is not unimodular."""
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
-    """Bookkeeping for a star subdivision.
+class NoImage(PropertyFailure):
+    """The contracted ray has no index in the blown-down fan."""
+
+
+class BlowupRecord(
+    namedtuple("BlowupRecord", "base result center new_ray exceptional_walls section_walls", defaults=(None,))
+):
+    """Bookkeeping for a star subdivision of `base` at `center`.
 
     `new_ray` indexes the inserted primitive sum inside `result`;
     `exceptional_walls` are the walls of the result whose curves are
@@ -41,12 +57,7 @@ class BlowupRecord:
     are the walls projecting isomorphically onto the center curve.
     """
 
-    base: Fan
-    result: Fan
-    center: tuple[int, ...]
-    new_ray: int
-    exceptional_walls: tuple[Wall, ...]
-    section_walls: tuple[Wall, ...] | None = None
+    __slots__ = ()
 
 
 def star_subdivision(f: Fan, center) -> BlowupRecord:
@@ -192,5 +203,5 @@ def blow_down(f: Fan, ray: int, decomposition) -> Fan:
 def reindex_after_removal(index: int, removed: int) -> int:
     """Ray index in the blown-down fan corresponding to `index` upstairs."""
     if index == removed:
-        raise ValueError("the contracted ray has no image")
+        raise NoImage("the contracted ray has no image")
     return index - (index > removed)

@@ -9,7 +9,12 @@ invalid fan, or in-range indices naming no wall or face), 2 malformed input
 (including ray indices out of range, vectors of the wrong length and integers
 not written in ASCII digits with an optional leading minus), 3 a structural
 invariant was violated during analysis or a result failed its exact
-re-verification.
+re-verification, 4 any other error (a bug; its traceback goes to stderr).
+Codes 1-3 are the `exit_code`s of the library's `ToricError` kinds.
+
+A command imports only the modules it runs: `check` and `mori` load the
+fan model, the wall relations and the Mori-cone LPs, not the surgery,
+suspension, pair-analysis or gallery modules.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import json
 import re
 import sys
 
-from . import analyzer, birational, ewald, gallery, intersection, mori
-from .fan import Fan, MalformedInput, picard_number, validate, walls
+from .fan import Fan, MalformedInput, PropertyFailure, ToricError, picard_number, validate, walls
 
 
 def _load_fan(path: str) -> Fan:
@@ -48,21 +52,19 @@ def _integer(text: str) -> int:
 def _indices(text: str):
     try:
         return tuple(_integer(part) for part in text.split(","))
-    except argparse.ArgumentTypeError:
+    except (argparse.ArgumentTypeError, ValueError):  # ValueError: too many digits for int
         raise MalformedInput(f"expected a comma-separated index list, got {text!r}") from None
 
 
 def _require_valid(f: Fan) -> None:
     report = validate(f)
     if not report.valid:
-        raise _PropertyFailure("fan is not smooth/complete/proper: " + "; ".join(report.failures))
-
-
-class _PropertyFailure(Exception):
-    pass
+        raise PropertyFailure("fan is not smooth/complete/proper: " + "; ".join(report.failures))
 
 
 def _cmd_check(args) -> int:
+    from . import intersection, mori
+
     f = _load_fan(args.fan)
     report = validate(f)
     payload = {
@@ -87,9 +89,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _contraction_dict(info: mori.ContractionInfo) -> dict:
+def _contraction_dict(info) -> dict:
+    from .mori import Fibration
+
     kind = info.kind
-    if isinstance(kind, mori.Fibration):
+    if isinstance(kind, Fibration):
         kind_dict = {"type": "fibration", "base_dim": kind.base_dim}
     else:
         kind_dict = {
@@ -103,6 +107,8 @@ def _contraction_dict(info: mori.ContractionInfo) -> dict:
 
 
 def _cmd_mori(args) -> int:
+    from . import intersection, mori
+
     f = _load_fan(args.fan)
     _require_valid(f)
     wall_list = walls(f)
@@ -129,6 +135,8 @@ def _cmd_mori(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from . import birational
+
     f = _load_fan(args.fan)
     _require_valid(f)
     rec = birational.star_subdivision(f, _indices(args.center))
@@ -137,6 +145,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_blowdown(args) -> int:
+    from . import birational
+
     f = _load_fan(args.fan)
     _require_valid(f)
     result = birational.blow_down(f, args.ray, _indices(args.sum))
@@ -145,6 +155,8 @@ def _cmd_blowdown(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analyzer
+
     f = _load_fan(args.fan)
     _require_valid(f)
     report = analyzer.analyze_pair(f, _indices(args.curve))
@@ -158,6 +170,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_ewald_suspend(args) -> int:
+    from . import ewald
+
     f = _load_fan(args.fan)
     _require_valid(f)
     rec = ewald.suspend(f, _indices(args.v))
@@ -166,6 +180,8 @@ def _cmd_ewald_suspend(args) -> int:
 
 
 def _cmd_ewald_blowdown(args) -> int:
+    from . import ewald
+
     f = _load_fan(args.fan)
     _require_valid(f)
     if not 0 <= args.ray < f.n_rays:
@@ -177,6 +193,8 @@ def _cmd_ewald_blowdown(args) -> int:
 
 
 def _cmd_ewald_tower(args) -> int:
+    from . import ewald
+
     f = _load_fan(args.fan)
     _require_valid(f)
     trajectory = ewald.ewald_tower(f, _indices(args.curve), args.steps)
@@ -193,6 +211,8 @@ def _cmd_ewald_tower(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    from . import gallery
+
     entry = gallery.get_fan(args.name, *args.params)
     text = json.dumps(entry.fan.to_dict(), sort_keys=True)
     if args.out:
@@ -269,15 +289,18 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (MalformedInput, gallery.UnknownName, gallery.BadParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (analyzer.InvariantViolation, AssertionError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except (_PropertyFailure, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        if isinstance(exc, ToricError):
+            code = exc.exit_code
+        else:
+            code = 3 if isinstance(exc, AssertionError) else 4
+        if code == 4:
+            import traceback
+
+            traceback.print_exc()
+        else:
+            print(f"{'invariant violation' if code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -13,33 +13,32 @@ low-dimensional non-projective example into one in every higher dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .birational import blow_down, blow_up_curve, reindex_after_removal
-from .fan import Fan, MalformedInput, Wall, _exact_int, validate, wall_lookup
+from .fan import Fan, MalformedInput, PropertyFailure, Wall, _exact_int, validate, wall_lookup
 from .mori import is_projective
 
 
-class VMismatch(ValueError):
+class VMismatch(PropertyFailure):
     """The suspension direction is not the chosen divisor's generator."""
 
 
-class NoSuitableDivisor(ValueError):
+class NoSuitableDivisor(PropertyFailure):
     """No invariant divisor contains the curve to be carried upward."""
 
 
-@dataclass(frozen=True)
-class SuspensionRecord:
-    """Suspension bookkeeping: `ray_up` indexes (v, 1), `ray_down` indexes
-    (0, -1) (the fibers over 0 and infinity); `lifted_rays[i]` is the index of
-    the flat lift of base ray i."""
+class NotATowerPair(PropertyFailure):
+    """A tower fan is projective, or its curve blow-up is not."""
 
-    base: Fan
-    v: tuple[int, ...]
-    suspended: Fan
-    ray_up: int
-    ray_down: int
-    lifted_rays: tuple[int, ...]
+
+class SuspensionRecord(namedtuple("SuspensionRecord", "base v suspended ray_up ray_down lifted_rays")):
+    """Suspension bookkeeping: `suspended` is `base` suspended by `v`;
+    `ray_up` indexes (v, 1), `ray_down` indexes (0, -1) (the fibers over 0
+    and infinity); `lifted_rays[i]` is the index of the flat lift of base
+    ray i."""
+
+    __slots__ = ()
 
 
 def suspend(base: Fan, v) -> SuspensionRecord:
@@ -78,9 +77,9 @@ def ewald_blow_down(rec: SuspensionRecord, divisor_ray: int) -> Fan:
 
 def _check_pair(f: Fan, w: Wall):
     if is_projective(f).projective:
-        raise ValueError("tower fans must be non-projective")
+        raise NotATowerPair("tower fans must be non-projective")
     if not is_projective(blow_up_curve(f, w).result).projective:
-        raise ValueError("blowing up the tracked curve must give a projective fan")
+        raise NotATowerPair("blowing up the tracked curve must give a projective fan")
 
 
 def ewald_tower(base: Fan, curve, steps: int):

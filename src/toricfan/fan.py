@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .lattice import (
@@ -40,8 +40,31 @@ from .lattice import (
 )
 
 
-class MalformedInput(ValueError):
+class ToricError(Exception):
+    """Base of the library's errors; `exit_code` is the command line's exit
+    status for one.  Its three kinds below are its only direct subclasses:
+    2 malformed input, 1 a failed property, 3 a violated invariant.  An
+    error of no kind is a bug, as is any other exception: 4."""
+
+    exit_code = 4
+
+
+class MalformedInput(ToricError, ValueError):
     """Structurally invalid fan data (bad indices, sizes or rays)."""
+
+    exit_code = 2
+
+
+class PropertyFailure(ToricError, ValueError):
+    """Well-formed input lacking a property the operation needs."""
+
+    exit_code = 1
+
+
+class InvariantViolation(ToricError, RuntimeError):
+    """A structural guarantee failed during analysis; bug or bad input."""
+
+    exit_code = 3
 
 
 def _exact_int(value, what: str) -> int:
@@ -51,15 +74,14 @@ def _exact_int(value, what: str) -> int:
     return value
 
 
-class NotComplete(ValueError):
+class NotComplete(PropertyFailure):
     """A wall is not shared by exactly two maximal cones."""
 
 
-class NotAWall(ValueError):
+class NotAWall(PropertyFailure):
     """The given index set is not a wall of the fan."""
 
 
-@dataclass(frozen=True, eq=False)
 class Fan:
     """Immutable fan: ray generators plus maximal cones as sorted index sets.
 
@@ -68,36 +90,41 @@ class Fan:
     induced relabeling of cones) but nothing else.
     """
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if _exact_int(self.dim, "dimension") < 1:
-            raise MalformedInput(f"dimension must be positive, got {self.dim}")
-        rays = []
-        for r in self.rays:
+    def __init__(self, dim: int, rays, max_cones):
+        if _exact_int(dim, "dimension") < 1:
+            raise MalformedInput(f"dimension must be positive, got {dim}")
+        canonical = []
+        for r in rays:
             r = tuple(_exact_int(a, "ray coordinate") for a in r)
-            if len(r) != self.dim:
-                raise MalformedInput(f"ray {r} does not have dimension {self.dim}")
+            if len(r) != dim:
+                raise MalformedInput(f"ray {r} does not have dimension {dim}")
             try:
-                rays.append(primitive_vector(r))
+                canonical.append(primitive_vector(r))
             except ZeroVector:
                 raise MalformedInput("the zero vector is not a valid ray") from None
-        if len(set(rays)) != len(rays):
+        if len(set(canonical)) != len(canonical):
             raise MalformedInput("duplicate rays (after canonicalization)")
         cones = set()
-        for cone in self.max_cones:
+        for cone in max_cones:
             cone = tuple(sorted(_exact_int(i, "ray index") for i in cone))
-            if len(cone) != self.dim or len(set(cone)) != self.dim:
-                raise MalformedInput(f"maximal cone {cone} does not have {self.dim} distinct rays")
-            if cone and (cone[0] < 0 or cone[-1] >= len(rays)):
+            if len(cone) != dim or len(set(cone)) != dim:
+                raise MalformedInput(f"maximal cone {cone} does not have {dim} distinct rays")
+            if cone and (cone[0] < 0 or cone[-1] >= len(canonical)):
                 raise MalformedInput(f"cone {cone} references a ray out of range")
             if cone in cones:
                 raise MalformedInput(f"maximal cone {cone} is listed twice")
             cones.add(cone)
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "max_cones", tuple(sorted(cones)))
+        # the fields are set once, here; __setattr__ refuses every later write
+        self.__dict__.update(dim=dim, rays=tuple(canonical), max_cones=tuple(sorted(cones)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Fan(dim={self.dim!r}, rays={self.rays!r}, max_cones={self.max_cones!r})"
 
     @property
     def n_rays(self) -> int:
@@ -146,7 +173,7 @@ class Fan:
     def from_json(cls, text: str) -> "Fan":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
             raise MalformedInput(f"invalid JSON: {exc}") from None
         return cls.from_dict(data)
 
@@ -183,31 +210,26 @@ def _canonical_form(f: Fan):
     return f.dim, new_rays, new_cones
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(namedtuple("Wall", "rays apexes")):
     """Codimension-one cone shared by two maximal cones (an invariant curve).
 
     `rays` are the wall's own ray indices, `apexes` the two ray indices that
-    complete it to its adjacent maximal cones.
+    complete it to its adjacent maximal cones; both are stored sorted.
     """
 
-    rays: tuple[int, ...]
-    apexes: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(self.rays)))
-        object.__setattr__(self, "apexes", tuple(sorted(self.apexes)))
+    def __new__(cls, rays, apexes):
+        return tuple.__new__(cls, (tuple(sorted(rays)), tuple(sorted(apexes))))
 
     def to_dict(self) -> dict:
         return {"rays": list(self.rays), "apexes": list(self.apexes)}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    smooth: bool
-    complete: bool
-    proper: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+class ValidationReport(namedtuple("ValidationReport", "smooth complete proper failures", defaults=((),))):
+    """The three verdicts of `validate` (bools) and the failures they list."""
+
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -376,10 +398,13 @@ def _covering_number(rays, cones, bases):
     """Number of cones containing p = sum_k m^k u_k (u_k the rays of the
     first cone) in their interior, for the least m >= 2 that puts p on the
     boundary of no cone.  Such an m exists: each Cramer numerator below is a
-    non-zero polynomial in m, since the first cone spans the space."""
+    non-zero polynomial of degree < d in m, since the first cone spans the
+    space, so at most len(cones) * d * (d - 1) values of m are bad.  A table
+    that runs past that bound is wrong, and fails the invariant."""
     base = [rays[i] for i in cones[0]]
-    m = 2
-    while True:
+    d = len(base)
+    tries = len(cones) * d * (d - 1) + 2
+    for m in range(2, 2 + tries):
         p = vsum(vscale(m**k, u) for k, u in enumerate(base))
         count = 0
         for cone in cones:
@@ -389,7 +414,7 @@ def _covering_number(rays, cones, bases):
             count += where
         else:
             return count
-        m += 1
+    raise AssertionError("no generic point found: the cone-basis table has a zero Cramer numerator")
 
 
 def _locate(det, cols, p):

@@ -9,37 +9,31 @@ loudly rather than trusting the transcription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .ewald import ewald_tower
-from .fan import MEMO_SIZE, Fan, picard_number, validate, wall_lookup, walls
+from .fan import MEMO_SIZE, Fan, MalformedInput, picard_number, validate, wall_lookup, walls
 from .intersection import wall_relation
 from .mori import is_projective
 
 
-class UnknownName(ValueError):
+class UnknownName(MalformedInput):
     """No gallery entry with that name."""
 
 
-class BadParams(ValueError):
+class BadParams(MalformedInput):
     """Parameters do not match the requested gallery entry."""
 
 
-@dataclass(frozen=True)
-class GalleryNotes:
-    projective: bool
-    rho: int
-    dim: int
-    distinguished_walls: tuple[tuple[int, ...], ...]
+class GalleryNotes(namedtuple("GalleryNotes", "projective rho dim distinguished_walls")):
+    """What an entry claims; `distinguished_walls` are wall ray index sets."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    params: tuple[int, ...]
-    fan: Fan
-    notes: GalleryNotes
+class GalleryEntry(namedtuple("GalleryEntry", "name params fan notes")):
+    __slots__ = ()
 
 
 # the unique non-projective threefold with Picard rank 4: standard basis

@@ -12,7 +12,7 @@ ray r is the intersection number of the curve with the invariant divisor D_r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fan import Fan, NotAWall, Wall, cone_bases, derived, walls
 from .lattice import vdot
@@ -20,12 +20,10 @@ from .lattice import vdot
 CurveClass = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WallRelation:
-    """The unique relation across a wall; coeffs is indexed by ray."""
+class WallRelation(namedtuple("WallRelation", "wall coeffs")):
+    """The unique relation across a `wall`; `coeffs` is indexed by ray."""
 
-    wall: Wall
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def normal_degrees(self) -> tuple[int, ...]:

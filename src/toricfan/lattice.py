@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 LatticePoint = tuple[int, ...]
 
@@ -35,7 +36,7 @@ def vscale(c, u):
 def vdot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsum(vectors, dim=None):

@@ -12,21 +12,22 @@ verdict are re-verified exactly before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fan import Fan, Wall, derived, walls
+from .fan import Fan, PropertyFailure, Wall, derived, walls
 from .intersection import CurveClass, all_relations, anticanonical_degree, wall_relation
 from .lattice import phase_one, primitive_vector, vdot
 
 
-class NotExtremal(ValueError):
+class NotExtremal(PropertyFailure):
     """The wall's class is not an edge of the Mori cone."""
 
 
-@dataclass(frozen=True)
-class ProjectivityVerdict:
+class ProjectivityVerdict(
+    namedtuple("ProjectivityVerdict", "projective ample_witness degeneracy_certificate", defaults=(None, None))
+):
     """Either an ample rational divisor or a degeneracy certificate.
 
     Exactly one of `ample_witness` (a rational divisor vector with
@@ -35,9 +36,7 @@ class ProjectivityVerdict:
     zero) is present.
     """
 
-    projective: bool
-    ample_witness: tuple[Fraction, ...] | None = None
-    degeneracy_certificate: dict[Wall, Fraction] | None = None
+    __slots__ = ()
 
     def to_dict(self, f: Fan) -> dict:
         if self.projective:
@@ -53,27 +52,19 @@ class ProjectivityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class Fibration:
-    base_dim: int
+class Fibration(namedtuple("Fibration", "base_dim")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Birational:
-    exceptional_dim: int
-    image_dim: int
-    fiber_dim: int
-    divisorial: bool
+class Birational(namedtuple("Birational", "exceptional_dim image_dim fiber_dim divisorial")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContractionInfo:
-    """Numerical type of the extremal contraction of a wall class."""
+class ContractionInfo(namedtuple("ContractionInfo", "alpha beta kind mori_extremal")):
+    """Numerical type of the extremal contraction of a wall class; `kind` is
+    a Fibration or a Birational."""
 
-    alpha: int
-    beta: int
-    kind: Fibration | Birational
-    mori_extremal: bool
+    __slots__ = ()
 
 
 def _format_rational(x) -> str:

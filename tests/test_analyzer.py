@@ -122,3 +122,12 @@ def test_report_serialization(oda):
     data = report.to_dict()
     assert data["x_projective"] is False and data["xt_projective"] is True
     assert all({"kind", "witness_wall", "e_dot_omega", "constructed"} <= set(f) for f in data["findings"])
+
+
+def test_report_equality_ignores_the_blowup_record(oda):
+    report = analyze_pair(oda.fan, (1, 4))
+    bare = report._replace(blowup=None)
+    assert report.blowup is not None
+    assert report == bare and not report != bare
+    assert hash(report._replace(findings=())) == hash(bare._replace(findings=()))
+    assert report != report._replace(exceptional_ray=report.exceptional_ray + 1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricfan
 from toricfan.cli import run
 from toricfan.fan import Fan
 from toricfan.gallery import get_fan
@@ -147,23 +152,22 @@ def test_tower_output_records_divisor_choice(capsys, fan_file, oda):
 
 def test_invariant_violation_exits_3(capsys, fan_file, oda, monkeypatch):
     import toricfan.analyzer as analyzer_mod
-    import toricfan.cli as cli_mod
 
     def boom(fan, curve):
         raise analyzer_mod.InvariantViolation("forced for the exit-code test")
 
-    monkeypatch.setattr(cli_mod.analyzer, "analyze_pair", boom)
+    monkeypatch.setattr(analyzer_mod, "analyze_pair", boom)
     path = fan_file("oda.json", oda.fan)
     assert run(["analyze", path, "--curve", "1,4"]) == 3
 
 
 def test_failed_self_check_exits_3(capsys, fan_file, oda, monkeypatch):
-    import toricfan.cli as cli_mod
+    import toricfan.mori as mori_mod
 
     def boom(fan):
         raise AssertionError("forced re-verification failure")
 
-    monkeypatch.setattr(cli_mod.mori, "is_projective", boom)
+    monkeypatch.setattr(mori_mod, "is_projective", boom)
     path = fan_file("oda.json", oda.fan)
     assert run(["check", path]) == 3
     err = capsys.readouterr().err
@@ -247,3 +251,136 @@ def test_malformed_integers_exit_2(capsys, fan_file, oda, argv):
 def test_negative_integers_still_parse(capsys):
     assert run(["gallery", "xab", "-1", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 3
+
+
+def _exception_classes(base):
+    out = {}
+    for sub in base.__subclasses__():
+        out[sub.__name__] = sub
+        out.update(_exception_classes(sub))
+    return out
+
+
+EXIT_CODES = {
+    "MalformedInput": 2,
+    "UnknownName": 2,
+    "BadParams": 2,
+    "PropertyFailure": 1,
+    "NotComplete": 1,
+    "NotAWall": 1,
+    "NotAFace": 1,
+    "SumMismatch": 1,
+    "BadStarShape": 1,
+    "ResultSingular": 1,
+    "NoImage": 1,
+    "VMismatch": 1,
+    "NoSuitableDivisor": 1,
+    "NotATowerPair": 1,
+    "NotExtremal": 1,
+    "NoFiberWall": 1,
+    "InvariantViolation": 3,
+}
+
+
+def test_every_toric_error_carries_its_exit_code(capsys, fan_file, oda, monkeypatch):
+    import toricfan.analyzer  # noqa: F401  (defines subclasses)
+    import toricfan.gallery  # noqa: F401
+    import toricfan.mori as mori_mod
+    from toricfan.fan import InvariantViolation, MalformedInput, PropertyFailure, ToricError
+
+    assert set(ToricError.__subclasses__()) == {MalformedInput, PropertyFailure, InvariantViolation}
+    classes = _exception_classes(ToricError)
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+    path = fan_file("oda.json", oda.fan)
+    for name, cls in classes.items():
+
+        def boom(fan, cls=cls):
+            raise cls(f"forced {cls.__name__}")
+
+        monkeypatch.setattr(mori_mod, "is_projective", boom)
+        assert run(["check", path]) == cls.exit_code, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        label = "invariant violation" if cls.exit_code == 3 else "error"
+        assert captured.err == f"{label}: forced {name}\n"
+
+
+def test_stray_exception_exits_4_with_traceback(capsys, fan_file, oda, monkeypatch):
+    import toricfan.mori as mori_mod
+
+    def boom(fan):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(mori_mod, "is_projective", boom)
+    path = fan_file("oda.json", oda.fan)
+    assert run(["check", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.rstrip().endswith("KeyError: 'stray'")
+
+
+def _cold_python(args):
+    """Run a fresh interpreter on `args`, importing toricfan from this
+    checkout and writing no bytecode cache; return the finished process."""
+    src = str(Path(toricfan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_loads_no_command_modules():
+    proc = _cold_python(
+        [
+            "-c",
+            "import sys; before = set(sys.modules); import toricfan.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "toricfan.cli" in loaded
+    banned = {"dataclasses", "inspect", "toricfan.analyzer", "toricfan.birational", "toricfan.ewald", "toricfan.gallery"}
+    assert not loaded & banned
+
+
+def test_cold_check_loads_only_the_modules_it_runs(tmp_path, oda):
+    path = tmp_path / "oda.json"
+    path.write_text(oda.fan.to_json())
+    proc = _cold_python(["-X", "importtime", "-m", "toricfan.cli", "check", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["projective"] is False
+    names = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    # what `site` loads at start-up is the environment's, not the command's;
+    # the command line itself runs as __main__
+    if "site" in names:
+        names = names[names.index("site") + 1 :]
+    imported = set(names)
+    ours = {name for name in imported if name.split(".")[0] == "toricfan"}
+    assert ours == {"toricfan", "toricfan.fan", "toricfan.lattice", "toricfan.intersection", "toricfan.mori"}
+    assert not imported & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_deep_nesting_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: maximum recursion depth")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int/str digit limit")
+def test_integers_past_the_digit_limit_exit_2(capsys, fan_file, oda, tmp_path):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path = fan_file("oda.json", oda.fan)
+    assert run(["analyze", path, "--curve", f"1,{digits}"]) == 2
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 1, "rays": [[%s], [-1]], "max_cones": [[0], [1]]}' % digits)
+    assert run(["check", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err

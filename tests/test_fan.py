@@ -1,5 +1,7 @@
 import json
 import random
+import signal
+import time
 
 import pytest
 
@@ -217,3 +219,45 @@ def test_memo_is_bounded_and_evicted_fans_still_answer():
     assert validate(evicted).valid
     assert walls(evicted) == walls(fresh)
     assert all_relations(evicted) == all_relations(fresh)
+
+
+def test_fan_fields_cannot_be_assigned_or_deleted(p2):
+    before = (p2.dim, p2.rays, p2.max_cones)
+    for name, value in (("dim", 3), ("rays", ()), ("max_cones", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(p2, name, value)
+    with pytest.raises(AttributeError):
+        del p2.rays
+    assert (p2.dim, p2.rays, p2.max_cones) == before
+    assert validate(p2).valid
+
+
+def test_wall_repr_in_not_a_wall_message(oda):
+    from toricfan.intersection import wall_relation
+
+    with pytest.raises(NotAWall) as excinfo:
+        wall_relation(oda.fan, Wall((3, 0), (2, 1)))
+    assert str(excinfo.value) == "Wall(rays=(0, 3), apexes=(1, 2)) is not a wall of the fan"
+
+
+def test_covering_number_gives_up_on_a_zeroed_table(oda):
+    """All-zero Cramer numerators put every candidate point on a boundary;
+    the search must stop at its bound instead of looping."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs SIGALRM to stop a runaway search")
+    f = oda.fan
+    zeroed = {c: (1, ((0,) * f.dim,) * f.dim) for c in f.max_cones}
+
+    def runaway(signum, frame):
+        raise TimeoutError("_covering_number did not stop")
+
+    previous = signal.signal(signal.SIGALRM, runaway)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match="zero Cramer numerator"):
+            fan_mod._covering_number(f.rays, f.max_cones, zeroed)
+        assert time.perf_counter() - start < 5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
