@@ -8,6 +8,18 @@ is nonempty (the system is homogeneous up to scaling, so ">= 1" loses
 nothing).  Infeasibility comes with a Gordan-type certificate: a nonnegative,
 nonzero combination of wall classes summing to zero.  Both sides of every
 verdict are re-verified exactly before being returned.
+
+A class is extremal iff it is not a nonnegative combination of the classes
+not proportional to it.  Each class is decided by the cheapest exact proof
+that exists, in this order: a sign proof (the class is strictly signed at a
+ray i where no other class has that sign, so +-e_i is a Farkas vector:
+extremal), a two-sum proof (the class minus another class is a third class:
+not extremal), and otherwise the phase-one LP on the rho = n - d rows off
+one maximal cone sigma0 of non-zero determinant.  Every class c satisfies
+sum_r c_r u_r = 0 and the rays of sigma0 are a basis, so the rows of sigma0
+are implied by the others.  Whatever its source, the combination or Farkas
+vector goes through one integer re-verification in all n coordinates
+(`_verified`); a Farkas vector from the LP is lifted with zeros on sigma0.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fan import Fan, PropertyFailure, Wall, derived, walls
+from .fan import Fan, PropertyFailure, Wall, cone_bases, derived, walls
 from .intersection import CurveClass, all_relations, anticanonical_degree, wall_relation
 from .lattice import phase_one, primitive_vector, vdot
 
@@ -136,29 +148,91 @@ def is_extremal(f: Fan, w: Wall) -> bool:
 
     Classes proportional (by a positive rational) to the tested one are set
     aside; the test asks for a nonnegative combination of the rest.  The
-    combination, or the Farkas vector showing there is none, is re-verified
-    exactly before the verdict is returned.
+    cheapest exact proof that exists decides: a sign proof, a two-sum proof,
+    or else the LP on the rows off one maximal cone (see `_extremal_raw`).
+    The combination, or the Farkas vector showing there is none, is
+    re-verified exactly before the verdict is returned.
     """
     return derived(f, _extremal_raw, wall_relation(f, w).coeffs)
 
 
 def _extremal_raw(f: Fan, target) -> bool:
+    """Uncached decision of `is_extremal`: the first of `_sign_proof`,
+    `_two_sum_proof` and `_lp_proof` that gives a proof, checked by
+    `_verified`."""
     direction = primitive_vector(target)
     others = [
         vec for vec, _ in mori_generators(f) if primitive_vector(vec) != direction
     ]
     if not others:
         return True
-    rows = [[vec[i] for vec in others] for i in range(f.n_rays)]
-    feasible, x, y = phase_one(rows, list(target))
-    # re-verify over the integers: both proofs are invariant under scaling by den > 0
+    proof = _sign_proof(target, others) or _two_sum_proof(target, others) or _lp_proof(f, target, others)
+    return _verified(target, others, *proof)
+
+
+def _sign_proof(target, others):
+    """(False, +-e_i) if target[i] != 0 and no other class has its sign at
+    ray i: then +-e_i is positive on the target and nonpositive on the rest."""
+    for i, t in enumerate(target):
+        if t and all(t * vec[i] <= 0 for vec in others):
+            farkas = [0] * len(target)
+            farkas[i] = 1 if t > 0 else -1
+            return False, farkas
+    return None
+
+
+def _two_sum_proof(target, others):
+    """(True, x) if target - a is another class b, x the combination a + b."""
+    index = {vec: j for j, vec in enumerate(others)}
+    for j, a in enumerate(others):
+        k = index.get(tuple(t - v for t, v in zip(target, a)))
+        if k is not None:
+            combo = [0] * len(others)
+            combo[j] = combo[k] = 1
+            return True, combo
+    return None
+
+
+def _rho_rows(f: Fan):
+    """The rays off one maximal cone sigma0 of non-zero determinant.
+
+    Every class c satisfies sum_r c_r u_r = 0 and the rays of sigma0 are a
+    basis, so c's entries on sigma0 follow from the others: two classes, or
+    combinations of them, that agree off sigma0 agree everywhere.  Some cone
+    has det != 0 whenever there is a class, since each wall relation is
+    solved in such a cone.
+    """
+    sigma0 = next(cone for cone, (det, _) in derived(f, cone_bases).items() if det)
+    return tuple(i for i in range(f.n_rays) if i not in sigma0)
+
+
+def _lp_proof(f: Fan, target, others):
+    """The phase-one LP for target = sum x_j others[j], x >= 0, on the
+    rho = n - d rows of `_rho_rows`; an infeasible answer's Farkas vector is
+    lifted to all n rays with zeros on sigma0."""
+    keep = derived(f, _rho_rows)
+    rows = [[vec[i] for vec in others] for i in keep]
+    feasible, x, y = phase_one(rows, [target[i] for i in keep])
     if feasible:
-        den, coeffs = _clear_denominators(x)
-        combo = [sum(c * vec[i] for c, vec in zip(coeffs, others)) for i in range(f.n_rays)]
+        return True, x
+    farkas = [0] * f.n_rays
+    for i, v in zip(keep, y):
+        farkas[i] = v
+    return False, farkas
+
+
+def _verified(target, others, feasible, proof) -> bool:
+    """`not feasible` once the proof holds over the integers in all n
+    coordinates: a nonnegative combination x of `others` equal to the
+    target, or a Farkas vector y with y . target > 0 >= y . c for every other
+    class c.  Both are invariant under scaling by den > 0."""
+    if feasible:
+        den, coeffs = _clear_denominators(proof)
+        combo = [sum(c * vec[i] for c, vec in zip(coeffs, others)) for i in range(len(target))]
         if any(c < 0 for c in coeffs) or combo != [den * t for t in target]:
             raise AssertionError("extremality combination failed re-verification")
     else:
-        _, farkas = _clear_denominators(y)
+        _, farkas = _clear_denominators(proof)
         if any(vdot(farkas, vec) > 0 for vec in others) or vdot(farkas, target) <= 0:
             raise AssertionError("extremality certificate failed re-verification")
     return not feasible

@@ -1,17 +1,20 @@
-"""Rational Gauss-Jordan elimination, the Bareiss `determinant` and the
-rational phase-one simplex over `fractions.Fraction`: the test oracles for the
-fraction-free `toricfan.lattice.adjugate`, the cone-basis table
-`toricfan.fan.cone_bases` built on it, and `toricfan.lattice.phase_one`.
+"""Rational Gauss-Jordan elimination, the Bareiss `determinant`, the
+rational phase-one simplex over `fractions.Fraction` and the full-row
+extremality LP: the test oracles for the fraction-free
+`toricfan.lattice.adjugate`, the cone-basis table `toricfan.fan.cone_bases`
+built on it, `toricfan.lattice.phase_one` and `toricfan.mori._extremal_raw`.
 
 These routines solved the library's cone-basis systems, determinants and
-linear programs before the integer adjugate and the integer-tableau simplex
-replaced them; they are kept unchanged, outside the library, so the tests can
-run the new kernels differentially against the old ones.
+linear programs before the integer adjugate, the integer-tableau simplex and
+the proof-first extremality test replaced them; they are kept unchanged,
+outside the library, so the tests can run the new code differentially
+against the old.
 """
 
 from fractions import Fraction
 
-from toricfan.lattice import DimensionMismatch
+from toricfan.lattice import DimensionMismatch, primitive_vector, vdot
+from toricfan.mori import _clear_denominators, mori_generators
 
 
 def _gauss_jordan(aug, ncols):
@@ -192,3 +195,29 @@ def phase_one(rows, rhs):
     # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
     y = [flip[i] * (1 - cost[ncols + i]) for i in range(m)]
     return False, None, y
+
+
+def full_row_extremal(f, target) -> bool:
+    """Whether the class `target` spans an edge of the cone of wall classes,
+    by one phase-one LP with a row per ray of `f`, its answer re-verified
+    over the integers.  This was the library's `mori._extremal_raw`; here
+    `phase_one` is the rational simplex above."""
+    direction = primitive_vector(target)
+    others = [
+        vec for vec, _ in mori_generators(f) if primitive_vector(vec) != direction
+    ]
+    if not others:
+        return True
+    rows = [[vec[i] for vec in others] for i in range(f.n_rays)]
+    feasible, x, y = phase_one(rows, list(target))
+    # re-verify over the integers: both proofs are invariant under scaling by den > 0
+    if feasible:
+        den, coeffs = _clear_denominators(x)
+        combo = [sum(c * vec[i] for c, vec in zip(coeffs, others)) for i in range(f.n_rays)]
+        if any(c < 0 for c in coeffs) or combo != [den * t for t in target]:
+            raise AssertionError("extremality combination failed re-verification")
+    else:
+        _, farkas = _clear_denominators(y)
+        if any(vdot(farkas, vec) > 0 for vec in others) or vdot(farkas, target) <= 0:
+            raise AssertionError("extremality certificate failed re-verification")
+    return not feasible

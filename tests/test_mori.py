@@ -114,6 +114,11 @@ def test_fm_oracle_agrees_on_small_set(p2, p3, f1, p1xp1, oda):
         assert fan_is_projective(f) == is_projective(f).projective
 
 
+# two classes of xab(-2, -2) that neither cheap proof decides: both need the LP
+XAB22_EXTREMAL = (-1, 0, 0, 1, -2, 0, 0, 1)
+XAB22_NOT_EXTREMAL = (-1, 0, 2, 1, 0, 0, 0, 1)
+
+
 def _wrong_answers():
     """phase_one stand-ins that return a wrong verdict or a wrong proof."""
 
@@ -135,35 +140,69 @@ def _wrong_answers():
         return False, None, [Fraction(b) for b in rhs]
 
     return {
-        "negative_combination": (negative_combination, (0, 1, 0, 1)),
-        "zero_combination": (zero_combination, (0, 1, 0, 1)),
-        "zero_certificate": (zero_certificate, (1, 0, 1, 1)),
-        "target_as_certificate": (target_as_certificate, (1, 0, 1, 1)),
+        "negative_combination": (negative_combination, XAB22_EXTREMAL),
+        "zero_combination": (zero_combination, XAB22_EXTREMAL),
+        "zero_certificate": (zero_certificate, XAB22_NOT_EXTREMAL),
+        "target_as_certificate": (target_as_certificate, XAB22_NOT_EXTREMAL),
     }
 
 
+@pytest.fixture
+def xab22():
+    return get_fan("xab", -2, -2).fan
+
+
 @pytest.mark.parametrize("name", sorted(_wrong_answers()))
-def test_extremality_verdict_is_reverified(monkeypatch, f1, name):
+def test_extremality_verdict_is_reverified(monkeypatch, xab22, name):
     fake, target = _wrong_answers()[name]
-    # the real verdicts: (0, 1, 0, 1) is extremal, (1, 0, 1, 1) is not
-    assert mori_mod._extremal_raw(f1, target) == (target == (0, 1, 0, 1))
-    monkeypatch.setattr(mori_mod, "phase_one", fake)
+    assert mori_mod._extremal_raw(xab22, target) == (target == XAB22_EXTREMAL)
+    calls = []
+    monkeypatch.setattr(mori_mod, "phase_one", lambda rows, rhs: calls.append(rows) or fake(rows, rhs))
     with pytest.raises(AssertionError, match="extremality"):
-        mori_mod._extremal_raw(f1, target)
+        mori_mod._extremal_raw(xab22, target)
+    assert calls, "the class must reach the LP"
 
 
-def test_wrong_extremality_answer_exits_3(monkeypatch, capsys, tmp_path, f1):
+def test_wrong_extremality_answer_exits_3(monkeypatch, capsys, tmp_path, xab22):
     import toricfan.fan as fan_mod
     from toricfan.cli import run
 
-    path = tmp_path / "f1.json"
-    path.write_text(f1.to_json())
+    path = tmp_path / "xab.json"
+    path.write_text(xab22.to_json())
     monkeypatch.setattr(mori_mod, "phase_one", _wrong_answers()["zero_certificate"][0])
     fan_mod._memo.cache_clear()  # pose the extremality LPs afresh
     assert run(["mori", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invariant violation: extremality")
+
+
+def _wrong_cheap_proofs():
+    """Stand-ins for the sign and two-sum proofs that claim a proof for the
+    non-extremal class of xab(-2, -2), where neither cheap proof exists."""
+
+    def sign(target, others):
+        # e_i at a positive entry of the target: some class it is a
+        # nonnegative combination of is positive there too
+        i = next(i for i, t in enumerate(target) if t > 0)
+        return False, [int(j == i) for j in range(len(target))]
+
+    def two_sum(target, others):
+        return True, [1, 1] + [0] * (len(others) - 2)
+
+    return {"_sign_proof": sign, "_two_sum_proof": two_sum}
+
+
+@pytest.mark.parametrize("name", sorted(_wrong_cheap_proofs()))
+def test_wrong_cheap_proof_is_rejected(monkeypatch, xab22, name):
+    target = XAB22_NOT_EXTREMAL
+    others = [vec for vec, _ in mori_generators(xab22) if vec != target]
+    assert mori_mod._sign_proof(target, others) is None
+    assert mori_mod._two_sum_proof(target, others) is None
+    assert tuple(a + b for a, b in zip(*others[:2])) != target
+    monkeypatch.setattr(mori_mod, name, _wrong_cheap_proofs()[name])
+    with pytest.raises(AssertionError, match="extremality"):
+        mori_mod._extremal_raw(xab22, target)
 
 
 @pytest.mark.parametrize("scale", [Fraction(0), Fraction(1, 2)])

@@ -10,17 +10,19 @@ Ewald tower, the cone-basis table behind the wall relations, the facet
 normals and the generic-point test is cross-checked against the Bareiss
 determinant and rational Gauss-Jordan elimination, and its dual-graph walk
 against one `adjugate` per cone (also on hand-built data that needs several
-seeds), and the
-integer-tableau simplex against the rational one on every projectivity,
-extremality and pairwise-fallback linear program the library poses.
+seeds), the proof-first extremality test against one full-row LP per class,
+and the integer-tableau simplex against the rational one on every
+projectivity, extremality and pairwise-fallback linear program the library
+poses and on every full-row extremality LP.
 """
 
 import itertools
 import math
 import random
 
+import fraction_oracle
 from fm_oracle import feasible_geq_one
-from fraction_oracle import determinant, rational_inverse, solve_columns
+from fraction_oracle import determinant, full_row_extremal, rational_inverse, solve_columns
 from fraction_oracle import phase_one as oracle_phase_one
 from toricfan.birational import star_subdivision
 from toricfan.ewald import ewald_blow_down, suspend
@@ -514,10 +516,10 @@ def test_locate_numerators_agree_with_cramer_determinants():
     assert outcomes[0] >= 3000 and outcomes[1] >= 400 and outcomes[None] >= 1
 
 
-def _differential_phase_one(module, monkeypatch):
-    """Make `module.phase_one` run the integer kernel and the Fraction oracle
-    on every system it is given and require exactly equal (feasible, x, y);
-    returns the list of outcomes, one per system."""
+def _differential_phase_one(monkeypatch, *modules):
+    """Make `phase_one` in each of `modules` run the integer kernel and the
+    Fraction oracle on every system it is given and require exactly equal
+    (feasible, x, y); returns the list of outcomes, one per system."""
     outcomes = []
 
     def both(rows, rhs):
@@ -526,14 +528,17 @@ def _differential_phase_one(module, monkeypatch):
         outcomes.append(got[0])
         return got
 
-    monkeypatch.setattr(module, "phase_one", both)
+    for module in modules:
+        monkeypatch.setattr(module, "phase_one", both)
     return outcomes
 
 
 def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
+    """Every LP of `_projectivity_raw` and `_extremal_raw`, and the full-row
+    LP of the extremality oracle for every class, through both simplexes."""
     import toricfan.mori as mori_mod
 
-    outcomes = _differential_phase_one(mori_mod, monkeypatch)
+    outcomes = _differential_phase_one(monkeypatch, mori_mod, fraction_oracle)
     dims = set()
     verdicts = []
     for f in _differential_corpus() + _tower_levels():
@@ -542,16 +547,51 @@ def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
         verdicts.append(mori_mod._projectivity_raw(f).projective)
         for vec, _ in mori_mod.mori_generators(f):
             mori_mod._extremal_raw(f, vec)
+            full_row_extremal(f, vec)
         dims.add(f.dim)
     assert dims == {2, 3, 4, 5, 6, 7}
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 10
     assert outcomes.count(True) >= 250 and outcomes.count(False) >= 150
 
 
+def test_extremality_agrees_with_full_row_lp(monkeypatch):
+    """Each class's verdict equals the full-row LP's, and each of the four
+    ways `_extremal_raw` decides (sign proof, two-sum proof, feasible and
+    infeasible LP on the rho rows) is taken on the corpus."""
+    import toricfan.mori as mori_mod
+
+    paths = {"sign": 0, "two_sum": 0, "lp_feasible": 0, "lp_infeasible": 0}
+
+    def count(name, path):
+        fn = getattr(mori_mod, name)
+
+        def wrapped(*args):
+            got = fn(*args)
+            if got is not None:
+                paths[path(got)] += 1
+            return got
+
+        monkeypatch.setattr(mori_mod, name, wrapped)
+
+    count("_sign_proof", lambda got: "sign")
+    count("_two_sum_proof", lambda got: "two_sum")
+    count("phase_one", lambda got: "lp_feasible" if got[0] else "lp_infeasible")
+    dims = set()
+    for f in _differential_corpus() + _tower_levels():
+        if not validate(f).valid:
+            continue
+        for vec, _ in mori_mod.mori_generators(f):
+            assert mori_mod._extremal_raw(f, vec) == full_row_extremal(f, vec), (f.to_json(), vec)
+        dims.add(f.dim)
+    assert dims == {2, 3, 4, 5, 6, 7}
+    assert paths["sign"] >= 100 and paths["two_sum"] >= 199
+    assert paths["lp_feasible"] >= 95 and paths["lp_infeasible"] >= 87
+
+
 def test_pair_fallback_lps_agree_with_fraction_oracle(monkeypatch):
     import toricfan.fan as fan_mod
 
-    outcomes = _differential_phase_one(fan_mod, monkeypatch)
+    outcomes = _differential_phase_one(monkeypatch, fan_mod)
     for f in _differential_corpus():
         _all_pairs_report(f)
     assert outcomes.count(True) >= 600 and outcomes.count(False) >= 1200
