@@ -6,10 +6,12 @@ Every command reads and writes the canonical fan schema
 rationals rendered as exact "p/q" strings; a one-line human summary goes to
 stderr.  Exit codes: 0 success, 1 a property check failed (for example an
 invalid fan, or in-range indices naming no wall or face), 2 malformed input
-(including ray indices out of range, vectors of the wrong length and integers
-not written in ASCII digits with an optional leading minus), 3 a structural
-invariant was violated during analysis or a result failed its exact
-re-verification, 4 any other error (a bug; its traceback goes to stderr).
+(including a fan file that cannot be read or is not UTF-8, an `--out` path
+that cannot be written, ray indices out of range, vectors of the wrong length
+and integers not written in ASCII digits with an optional leading minus), 3 a
+structural invariant was violated during analysis or a result failed its
+exact re-verification, 4 any other error (a bug; its traceback goes to
+stderr).
 Codes 1-3 are the `exit_code`s of the library's `ToricError` kinds.
 
 A command imports only the modules it runs: `check` and `mori` load the
@@ -31,7 +33,7 @@ def _load_fan(path: str) -> Fan:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     return Fan.from_json(text)
 
@@ -216,8 +218,11 @@ def _cmd_gallery(args) -> int:
     entry = gallery.get_fan(args.name, *args.params)
     text = json.dumps(entry.fan.to_dict(), sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {args.out}: {exc}") from None
     else:
         print(text)
     notes = entry.notes

@@ -2,7 +2,8 @@
 
 The one elimination routine, `adjugate` (which also yields the determinant),
 and the exact simplex `phase_one` are fraction-free over Python ints: the
-simplex keeps an integer tableau over one common denominator, and
+simplex keeps an integer tableau over one common denominator, updating only
+the pivot row's non-zero columns when a pivot keeps that denominator, and
 `fractions.Fraction` appears only in the solution and the Farkas certificate
 it returns.  No floating point is used anywhere.
 Vectors are plain tuples, matrices are sequences of row vectors.
@@ -116,9 +117,12 @@ def phase_one(rows, rhs):
     (Edmonds 1967).  A pivot at (r, e) keeps row r, maps every other row a,
     the cost row included, to (p a - f a_r) / D with p = tab[r][e] and
     f = a[e], and makes p the new D; the division is exact by Sylvester's
-    identity (Bareiss 1968).  Since D > 0 the signs, the ratio comparisons
-    and so the pivots are those of the rational simplex.  Fractions are
-    built only for the returned x and y.
+    identity (Bareiss 1968).  Most pivots have p = D (the rational pivot
+    element is 1); the update is then a - f a_r / D, exact because D a is
+    divisible by D, so it touches only the columns where a_r != 0, in place,
+    and only in the rows with f != 0 and the cost row.  Since D > 0 the
+    signs, the ratio comparisons and so the pivots are those of the
+    rational simplex.  Fractions are built only for the returned x and y.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -133,8 +137,8 @@ def phase_one(rows, rhs):
         tab.append([s * a for a in rows[i]] + unit + [s * rhs[i]])
         flip.append(s)
     # reduced costs of min(sum of artificials), then minus its value
-    cost = [-sum(row[j] for row in tab) for j in range(ncols)] + [0] * m
-    cost.append(-sum(row[total] for row in tab))
+    cost = [-sum(col) for col in zip(*tab)] if m else [0]
+    cost[ncols:total] = [0] * m
     basis = list(range(ncols, total))
     denom = 1
 
@@ -158,17 +162,29 @@ def phase_one(rows, rhs):
             raise AssertionError("phase-one objective is bounded; no pivot row found")
         top = tab[leave]
         p = top[enter]
-        for i, row in enumerate(tab):
-            if i != leave:
+        if p == denom:
+            # (p a - f c) / D = a - f c / D: only the entries where c != 0 move
+            nonzero = [(j, c) for j, c in enumerate(top) if c]
+            for i, row in enumerate(tab):
                 f = row[enter]
-                if f:
-                    tab[i] = [(p * a - f * c) // denom for a, c in zip(row, top)]
-                elif p != denom:
-                    tab[i] = [p * a // denom for a in row]
-        f = cost[enter]
-        cost = [(p * a - f * c) // denom for a, c in zip(cost, top)]
+                if f and i != leave:
+                    for j, c in nonzero:
+                        row[j] -= f * c // denom
+            f = cost[enter]
+            for j, c in nonzero:
+                cost[j] -= f * c // denom
+        else:
+            for i, row in enumerate(tab):
+                if i != leave:
+                    f = row[enter]
+                    if f:
+                        tab[i] = [(p * a - f * c) // denom for a, c in zip(row, top)]
+                    else:
+                        tab[i] = [p * a // denom for a in row]
+            f = cost[enter]
+            cost = [(p * a - f * c) // denom for a, c in zip(cost, top)]
+            denom = p
         basis[leave] = enter
-        denom = p
 
     if cost[total] == 0:
         x = [Fraction(0)] * ncols

@@ -121,7 +121,7 @@ def determinant(vs) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def phase_one(rows, rhs):
+def phase_one(rows, rhs, pivots=None):
     """Exact phase-one simplex: decide whether {x >= 0 : rows . x = rhs} is nonempty.
 
     Minimizes the sum of artificial variables with Bland's rule, so the run
@@ -131,6 +131,9 @@ def phase_one(rows, rhs):
     * x: a solution (length = number of columns) when feasible, else None,
     * y: a Farkas certificate when infeasible, else None.  It satisfies
       y . rows[:, j] <= 0 for every column j and y . rhs > 0, exactly.
+
+    Each pivot element is appended to the list `pivots` when one is given
+    (see `pivot_branches`).
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -173,6 +176,8 @@ def phase_one(rows, rhs):
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no pivot row found")
         pv = tab[leave][enter]
+        if pivots is not None:
+            pivots.append(pv)
         tab[leave] = [a / pv for a in tab[leave]]
         b[leave] /= pv
         for i in range(m):
@@ -195,6 +200,14 @@ def phase_one(rows, rhs):
     # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
     y = [flip[i] * (1 - cost[ncols + i]) for i in range(m)]
     return False, None, y
+
+
+def pivot_branches(pivots):
+    """The kinds of pivot `toricfan.lattice.phase_one` makes on a system,
+    given the pivot elements `phase_one` above recorded on it: the integer
+    pivot p equals the common denominator D exactly when the rational pivot
+    element p / D is 1."""
+    return {"p = D" if pv == 1 else "p != D" for pv in pivots}
 
 
 def full_row_extremal(f, target) -> bool:

@@ -53,6 +53,12 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     path.write_text("{oops")
     assert run(["check", str(path)]) == 2
     assert run(["check", str(tmp_path / "missing.json")]) == 2
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    capsys.readouterr()
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read" in captured.err and "Traceback" not in captured.err
 
 
 def test_duplicate_maximal_cone_exits_2(capsys, tmp_path):
@@ -117,6 +123,12 @@ def test_gallery_roundtrip(capsys, tmp_path):
     assert report["projective"] is False
     assert run(["gallery", "does-not-exist"]) == 2
     assert run(["gallery", "xab", "1"]) == 2
+    unwritable = tmp_path / "missing-dir" / "oda.json"
+    capsys.readouterr()
+    assert run(["gallery", "oda3", "--out", str(unwritable)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not unwritable.exists()
+    assert "cannot write" in captured.err and "Traceback" not in captured.err
 
 
 def test_ewald_commands(capsys, fan_file, p2):

@@ -27,6 +27,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 COMMANDS = (
     ("check oda3", "check", "oda3", ()),
     ("mori oda3", "mori", "oda3", ()),
+    ("check xab 0 2", "check", "xab 0 2", ()),
+    ("check xab 1 -1", "check", "xab 1 -1", ()),
     ("check xab 2 -3", "check", "xab 2 -3", ()),
     ("mori xab 2 -3", "mori", "xab 2 -3", ()),
     ("check ewald-tower 2", "check", "ewald-tower 2", ()),

@@ -1,11 +1,13 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from fraction_oracle import determinant, rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from fraction_oracle import phase_one as oracle_phase_one
+from fraction_oracle import pivot_branches
 from toricfan.lattice import (
     DimensionMismatch,
     ZeroVector,
@@ -132,10 +134,31 @@ def _first_pivot_tied(rows, rhs):
     return ratios.count(min(ratios)) > 1
 
 
-def test_phase_one_agrees_with_fraction_oracle_on_random_systems():
+@pytest.fixture
+def stops_within_a_minute():
+    """Fail a test still running after 60 s, so a simplex that cycles shows
+    as a failure rather than a hang (where the platform has SIGALRM)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def runaway(signum, frame):
+        raise TimeoutError("phase_one did not stop within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, runaway)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_phase_one_agrees_with_fraction_oracle_on_random_systems(stops_within_a_minute):
     rng = random.Random(31)
     outcomes = {True: 0, False: 0}
     tied = negative = 0
+    branches = {"p = D": 0, "p != D": 0}
     for trial in range(1500):
         m, n = rng.randint(1, 8), rng.randint(1, 12)
         rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(m)]
@@ -151,12 +174,16 @@ def test_phase_one_agrees_with_fraction_oracle_on_random_systems():
             c = rng.choice((1, 2, -1))
             rows[j], rhs[j] = [c * a for a in rows[i]], c * rhs[i]
         got = phase_one(rows, rhs)
-        assert got == oracle_phase_one(rows, rhs), (rows, rhs)
+        pivots = []
+        assert got == oracle_phase_one(rows, rhs, pivots), (rows, rhs)
+        for branch in pivot_branches(pivots):
+            branches[branch] += 1
         outcomes[got[0]] += 1
         tied += _first_pivot_tied(rows, rhs)
         negative += any(b < 0 for b in rhs)
     assert min(outcomes.values()) >= 300
     assert tied >= 150 and negative >= 500
+    assert branches["p = D"] >= 900 and branches["p != D"] >= 1000
 
 def _minor_rank(rows):
     """Size of the largest non-zero minor, by Bareiss determinants."""

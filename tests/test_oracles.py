@@ -22,7 +22,7 @@ import random
 
 import fraction_oracle
 from fm_oracle import feasible_geq_one
-from fraction_oracle import determinant, full_row_extremal, rational_inverse, solve_columns
+from fraction_oracle import determinant, full_row_extremal, pivot_branches, rational_inverse, solve_columns
 from fraction_oracle import phase_one as oracle_phase_one
 from toricfan.birational import star_subdivision
 from toricfan.ewald import ewald_blow_down, suspend
@@ -519,18 +519,24 @@ def test_locate_numerators_agree_with_cramer_determinants():
 def _differential_phase_one(monkeypatch, *modules):
     """Make `phase_one` in each of `modules` run the integer kernel and the
     Fraction oracle on every system it is given and require exactly equal
-    (feasible, x, y); returns the list of outcomes, one per system."""
+    (feasible, x, y).  Returns the list of outcomes, one per system, and the
+    number of systems on which the kernel makes a pivot of each kind
+    (`fraction_oracle.pivot_branches`)."""
     outcomes = []
+    branches = {"p = D": 0, "p != D": 0}
 
     def both(rows, rhs):
         got = phase_one(rows, rhs)
-        assert got == oracle_phase_one(rows, rhs), (rows, rhs)
+        pivots = []
+        assert got == oracle_phase_one(rows, rhs, pivots), (rows, rhs)
+        for branch in pivot_branches(pivots):
+            branches[branch] += 1
         outcomes.append(got[0])
         return got
 
     for module in modules:
         monkeypatch.setattr(module, "phase_one", both)
-    return outcomes
+    return outcomes, branches
 
 
 def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
@@ -538,7 +544,7 @@ def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
     LP of the extremality oracle for every class, through both simplexes."""
     import toricfan.mori as mori_mod
 
-    outcomes = _differential_phase_one(monkeypatch, mori_mod, fraction_oracle)
+    outcomes, branches = _differential_phase_one(monkeypatch, mori_mod, fraction_oracle)
     dims = set()
     verdicts = []
     for f in _differential_corpus() + _tower_levels():
@@ -552,6 +558,7 @@ def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
     assert dims == {2, 3, 4, 5, 6, 7}
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 10
     assert outcomes.count(True) >= 250 and outcomes.count(False) >= 150
+    assert branches["p = D"] >= 700 and branches["p != D"] >= 400
 
 
 def test_extremality_agrees_with_full_row_lp(monkeypatch):
@@ -591,7 +598,8 @@ def test_extremality_agrees_with_full_row_lp(monkeypatch):
 def test_pair_fallback_lps_agree_with_fraction_oracle(monkeypatch):
     import toricfan.fan as fan_mod
 
-    outcomes = _differential_phase_one(monkeypatch, fan_mod)
+    outcomes, branches = _differential_phase_one(monkeypatch, fan_mod)
     for f in _differential_corpus():
         _all_pairs_report(f)
     assert outcomes.count(True) >= 600 and outcomes.count(False) >= 1200
+    assert branches["p = D"] >= 1800 and branches["p != D"] >= 1700
