@@ -163,8 +163,8 @@ def blow_down(f: Fan, ray: int, decomposition) -> Fan:
         raise MalformedInput(f"ray index {ray} out of range")
     if not all(0 <= i < f.n_rays for i in S):
         raise MalformedInput(f"decomposition {S} has a ray index out of range")
-    if ray in S or len(set(S)) != len(S):
-        raise SumMismatch("decomposition must be distinct ray indices not containing the ray")
+    if len(S) < 2 or ray in S or len(set(S)) != len(S):
+        raise SumMismatch("decomposition must be two or more distinct ray indices not containing the ray")
     if vsum(f.rays[i] for i in S) != f.rays[ray]:
         raise SumMismatch(
             f"generator of ray {ray} is not the sum of the generators of {S}"

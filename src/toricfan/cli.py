@@ -12,7 +12,9 @@ and integers not written in ASCII digits with an optional leading minus), 3 a
 structural invariant was violated during analysis or a result failed its
 exact re-verification, 4 any other error (a bug; its traceback goes to
 stderr).
-Codes 1-3 are the `exit_code`s of the library's `ToricError` kinds.
+Codes 1-3 are the `exit_code`s of the library's `ToricError` kinds.  A reader
+closing stdout early (`toric mori f.json | head -c 0`) costs the rest of the
+report, not the exit code (0, or 1 for an invalid fan) or a traceback.
 
 A command imports only the modules it runs: `check` and `mori` load the
 fan model, the wall relations and the Mori-cone LPs, not the surgery,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -38,8 +41,17 @@ def _load_fan(path: str) -> Fan:
     return Fan.from_json(text)
 
 
+def _write(text: str) -> None:
+    """Print `text` on stdout; a closed pipe does not fail the command."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    _write(json.dumps(payload, sort_keys=True))
     print(summary, file=sys.stderr)
 
 
@@ -224,7 +236,7 @@ def _cmd_gallery(args) -> int:
         except OSError as exc:
             raise MalformedInput(f"cannot write {args.out}: {exc}") from None
     else:
-        print(text)
+        _write(text)
     notes = entry.notes
     print(
         f"{entry.name}{list(entry.params)}: dim {notes.dim}, rho {notes.rho}, "

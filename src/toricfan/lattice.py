@@ -1,17 +1,16 @@
-"""Exact integer and rational linear algebra underlying all fan computations.
+"""Exact integer linear algebra underlying all fan computations.
 
 The one elimination routine, `adjugate` (which also yields the determinant),
 and the exact simplex `phase_one` are fraction-free over Python ints: the
 simplex keeps an integer tableau over one common denominator, updating only
 the pivot row's non-zero columns when a pivot keeps that denominator, and
-`fractions.Fraction` appears only in the solution and the Farkas certificate
-it returns.  No floating point is used anywhere.
+returns that denominator with the integer numerators of its solution or its
+Farkas certificate.  There are no fractions and no floating point here.
 Vectors are plain tuples, matrices are sequences of row vectors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -40,13 +39,11 @@ def vdot(u, v):
     return sum(map(mul, u, v))
 
 
-def vsum(vectors, dim=None):
-    """Componentwise sum; `dim` is required for an empty sequence."""
+def vsum(vectors):
+    """Componentwise sum of a non-empty sequence of vectors."""
     vectors = list(vectors)
     if not vectors:
-        if dim is None:
-            raise DimensionMismatch("empty sum without explicit dimension")
-        return (0,) * dim
+        raise DimensionMismatch("empty sum has no dimension")
     acc = vectors[0]
     for v in vectors[1:]:
         acc = vadd(acc, v)
@@ -72,7 +69,7 @@ def adjugate(rows):
     """(det, adj) of a square integer matrix, with rows . adj == det * I
     exactly; adj is None when det == 0.
 
-    Fraction-free Gauss-Jordan on [rows | I]: each step divides exactly by
+    Gauss-Jordan on [rows | I] without fractions: each step divides exactly by
     the previous pivot (Bareiss), so every entry stays an integer minor, and
     the matrix ends as [d I | d rows^-1], d the determinant of the
     row-permuted matrix.
@@ -105,12 +102,14 @@ def phase_one(rows, rhs):
     """Exact phase-one simplex: decide whether {x >= 0 : rows . x = rhs} is nonempty.
 
     Minimizes the sum of artificial variables with Bland's rule, so the run
-    always terminates.  Returns a triple (feasible, x, y):
+    always terminates.  Returns a triple (feasible, den, v) of integers, den
+    the final common denominator D > 0 (see below):
 
     * feasible: whether the system has a solution,
-    * x: a solution (length = number of columns) when feasible, else None,
-    * y: a Farkas certificate when infeasible, else None.  It satisfies
-      y . rows[:, j] <= 0 for every column j and y . rhs > 0, exactly.
+    * v when feasible: D x for a solution x >= 0 (one entry per column), so
+      rows . v = D rhs;
+    * v when infeasible: D y for a Farkas certificate y (one entry per row),
+      so v . rows[:, j] <= 0 for every column j and v . rhs > 0.
 
     The tableau, its right-hand side and the reduced-cost row are integers
     over one common denominator D > 0, the determinant of the current basis
@@ -122,7 +121,9 @@ def phase_one(rows, rhs):
     divisible by D, so it touches only the columns where a_r != 0, in place,
     and only in the rows with f != 0 and the cost row.  Since D > 0 the
     signs, the ratio comparisons and so the pivots are those of the
-    rational simplex.  Fractions are built only for the returned x and y.
+    rational simplex.  x is read off the basic rows' right-hand sides and
+    y_i = flip_i (1 - cost[art_i] / D), flip_i the sign row i was multiplied
+    by; both are returned times D.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -187,11 +188,9 @@ def phase_one(rows, rhs):
         basis[leave] = enter
 
     if cost[total] == 0:
-        x = [Fraction(0)] * ncols
+        x = [0] * ncols
         for i, var in enumerate(basis):
             if var < ncols:
-                x[var] = Fraction(tab[i][total], denom)
-        return True, x, None
-    # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
-    y = [flip[i] * (1 - Fraction(cost[ncols + i], denom)) for i in range(m)]
-    return False, None, y
+                x[var] = tab[i][total]
+        return True, denom, x
+    return False, denom, [flip[i] * (denom - cost[ncols + i]) for i in range(m)]

@@ -7,7 +7,8 @@ curve, so the fan is projective iff {d : <d, class(w)> >= 1 for all walls w}
 is nonempty (the system is homogeneous up to scaling, so ">= 1" loses
 nothing).  Infeasibility comes with a Gordan-type certificate: a nonnegative,
 nonzero combination of wall classes summing to zero.  Both sides of every
-verdict are re-verified exactly before being returned.
+verdict are re-verified over the integers before being returned; `Fraction`
+appears only in the verdict's witness and certificate.
 
 A class is extremal iff it is not a nonnegative combination of the classes
 not proportional to it.  Each class is decided by the cheapest exact proof
@@ -17,16 +18,16 @@ extremal), a two-sum proof (the class minus another class is a third class:
 not extremal), and otherwise the phase-one LP on the rho = n - d rows off
 one maximal cone sigma0 of non-zero determinant.  Every class c satisfies
 sum_r c_r u_r = 0 and the rays of sigma0 are a basis, so the rows of sigma0
-are implied by the others.  Whatever its source, the combination or Farkas
-vector goes through one integer re-verification in all n coordinates
-(`_verified`); a Farkas vector from the LP is lifted with zeros on sigma0.
+are implied by the others.  Every proof, (feasible, den, integer proof),
+goes through one integer re-verification in all n coordinates (`_verified`);
+a Farkas vector from the LP is lifted with zeros on sigma0.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .fan import Fan, PropertyFailure, Wall, cone_bases, derived, walls
 from .intersection import CurveClass, all_relations, anticanonical_degree, wall_relation
@@ -45,7 +46,7 @@ class ProjectivityVerdict(
     Exactly one of `ample_witness` (a rational divisor vector with
     <d, class(w)> >= 1 on every wall) and `degeneracy_certificate` (a mapping
     wall -> nonnegative rational, not all zero, whose weighted class sum is
-    zero) is present.
+    zero) is present; both hold `Fraction`s.
     """
 
     __slots__ = ()
@@ -54,13 +55,13 @@ class ProjectivityVerdict(
         if self.projective:
             return {
                 "projective": True,
-                "witness": [_format_rational(a) for a in self.ample_witness],
+                "witness": [str(a) for a in self.ample_witness],
             }
         order = {w: i for i, w in enumerate(walls(f))}
         cert = sorted((order[w], y) for w, y in self.degeneracy_certificate.items())
         return {
             "projective": False,
-            "certificate": [{"wall": i, "y": _format_rational(y)} for i, y in cert],
+            "certificate": [{"wall": i, "y": str(y)} for i, y in cert],
         }
 
 
@@ -79,16 +80,13 @@ class ContractionInfo(namedtuple("ContractionInfo", "alpha beta kind mori_extrem
     __slots__ = ()
 
 
-def _format_rational(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _clear_denominators(values):
-    """(den, ints): den > 0 the lcm of the denominators of the rationals
-    `values`, and ints[i] == den * values[i]."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+def _combination(coeffs, vectors):
+    """sum_j coeffs[j] * vectors[j] over the integers; `vectors` is non-empty."""
+    acc = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, vec)]
+    return acc
 
 
 def mori_generators(f: Fan):
@@ -119,27 +117,21 @@ def _projectivity_raw(f: Fan) -> ProjectivityVerdict:
     for i, vec in enumerate(classes):
         row = list(vec) + [-a for a in vec] + [-(int(j == i)) for j in range(m)]
         rows.append(row)
-    feasible, x, y = phase_one(rows, [1] * m)
+    feasible, den, v = phase_one(rows, [1] * m)
     if feasible:
-        witness = tuple(x[j] - x[k + j] for j in range(k))
-        den, scaled = _clear_denominators(witness)
-        for vec in classes:
-            if vdot(scaled, vec) < den:
-                raise AssertionError("ample witness failed re-verification")
-        return ProjectivityVerdict(True, ample_witness=witness)
-    # normalize the certificate to primitive integers
-    _, ints = _clear_denominators(y)
-    if any(v < 0 for v in ints) or not any(v > 0 for v in ints):
+        # den * witness, and <witness, class> >= 1 iff <den * witness, class> >= den
+        scaled = [v[j] - v[k + j] for j in range(k)]
+        if any(vdot(scaled, vec) < den for vec in classes):
+            raise AssertionError("ample witness failed re-verification")
+        return ProjectivityVerdict(True, ample_witness=tuple(Fraction(a, den) for a in scaled))
+    if any(c < 0 for c in v) or not any(c > 0 for c in v):
         raise AssertionError("certificate signs are wrong")
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    combo = [0] * k
-    for coeff, vec in zip(ints, classes):
-        for j in range(k):
-            combo[j] += coeff * vec[j]
-    if any(c != 0 for c in combo):
+    # normalize the certificate to primitive integers
+    g = gcd(*v)
+    ints = [c // g for c in v]
+    if any(_combination(ints, classes)):
         raise AssertionError("degeneracy certificate failed re-verification")
-    cert = {reps[i]: Fraction(ints[i]) for i in range(m) if ints[i] != 0}
+    cert = {reps[i]: Fraction(c) for i, c in enumerate(ints) if c}
     return ProjectivityVerdict(False, degeneracy_certificate=cert)
 
 
@@ -171,25 +163,25 @@ def _extremal_raw(f: Fan, target) -> bool:
 
 
 def _sign_proof(target, others):
-    """(False, +-e_i) if target[i] != 0 and no other class has its sign at
+    """(False, 1, +-e_i) if target[i] != 0 and no other class has its sign at
     ray i: then +-e_i is positive on the target and nonpositive on the rest."""
     for i, t in enumerate(target):
         if t and all(t * vec[i] <= 0 for vec in others):
             farkas = [0] * len(target)
             farkas[i] = 1 if t > 0 else -1
-            return False, farkas
+            return False, 1, farkas
     return None
 
 
 def _two_sum_proof(target, others):
-    """(True, x) if target - a is another class b, x the combination a + b."""
+    """(True, 1, x) if target - a is another class b, x the combination a + b."""
     index = {vec: j for j, vec in enumerate(others)}
     for j, a in enumerate(others):
         k = index.get(tuple(t - v for t, v in zip(target, a)))
         if k is not None:
             combo = [0] * len(others)
             combo[j] = combo[k] = 1
-            return True, combo
+            return True, 1, combo
     return None
 
 
@@ -212,29 +204,25 @@ def _lp_proof(f: Fan, target, others):
     lifted to all n rays with zeros on sigma0."""
     keep = derived(f, _rho_rows)
     rows = [[vec[i] for vec in others] for i in keep]
-    feasible, x, y = phase_one(rows, [target[i] for i in keep])
+    feasible, den, v = phase_one(rows, [target[i] for i in keep])
     if feasible:
-        return True, x
+        return True, den, v
     farkas = [0] * f.n_rays
-    for i, v in zip(keep, y):
-        farkas[i] = v
-    return False, farkas
+    for i, a in zip(keep, v):
+        farkas[i] = a
+    return False, den, farkas
 
 
-def _verified(target, others, feasible, proof) -> bool:
+def _verified(target, others, feasible, den, proof) -> bool:
     """`not feasible` once the proof holds over the integers in all n
-    coordinates: a nonnegative combination x of `others` equal to the
-    target, or a Farkas vector y with y . target > 0 >= y . c for every other
-    class c.  Both are invariant under scaling by den > 0."""
+    coordinates: a nonnegative combination of `others` equal to den times
+    the target, or a Farkas vector y with y . target > 0 >= y . c for every
+    other class c (its scale, den included, does not matter)."""
     if feasible:
-        den, coeffs = _clear_denominators(proof)
-        combo = [sum(c * vec[i] for c, vec in zip(coeffs, others)) for i in range(len(target))]
-        if any(c < 0 for c in coeffs) or combo != [den * t for t in target]:
+        if any(c < 0 for c in proof) or _combination(proof, others) != [den * t for t in target]:
             raise AssertionError("extremality combination failed re-verification")
-    else:
-        _, farkas = _clear_denominators(proof)
-        if any(vdot(farkas, vec) > 0 for vec in others) or vdot(farkas, target) <= 0:
-            raise AssertionError("extremality certificate failed re-verification")
+    elif any(vdot(proof, vec) > 0 for vec in others) or vdot(proof, target) <= 0:
+        raise AssertionError("extremality certificate failed re-verification")
     return not feasible
 
 

@@ -8,13 +8,14 @@ These routines solved the library's cone-basis systems, determinants and
 linear programs before the integer adjugate, the integer-tableau simplex and
 the proof-first extremality test replaced them; they are kept unchanged,
 outside the library, so the tests can run the new code differentially
-against the old.
+against the old.  Only public names of the library are used here.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from toricfan.lattice import DimensionMismatch, primitive_vector, vdot
-from toricfan.mori import _clear_denominators, mori_generators
+from toricfan.mori import mori_generators
 
 
 def _gauss_jordan(aug, ncols):
@@ -200,6 +201,22 @@ def phase_one(rows, rhs, pivots=None):
     # dual from the reduced costs of the artificial columns: y'_i = 1 - cost[art_i]
     y = [flip[i] * (1 - cost[ncols + i]) for i in range(m)]
     return False, None, y
+
+
+def as_fractions(answer):
+    """The integer kernel's answer (feasible, den, v) in the shape of
+    `phase_one` above, (feasible, x, y) with x or y = v / den."""
+    feasible, den, v = answer
+    assert den > 0, den
+    v = [Fraction(a, den) for a in v]
+    return (True, v, None) if feasible else (False, None, v)
+
+
+def _clear_denominators(values):
+    """(den, ints): den > 0 the lcm of the denominators of the rationals
+    `values`, and ints[i] == den * values[i]."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def pivot_branches(pivots):

@@ -109,6 +109,10 @@ def test_f1_blowdown_examples(f1):
     assert lattice_isomorphism(result, get_fan("pn", 2).fan) is not None
     with pytest.raises(SumMismatch):
         blow_down(f1, 1, (3, 0))
+    # fewer than two rays; the empty sum has no dimension and must not be taken
+    for decomposition in ((), (0,)):
+        with pytest.raises(SumMismatch, match="two or more"):
+            blow_down(f1, 1, decomposition)
 
 
 def test_bad_star_shape(p2):

@@ -376,6 +376,43 @@ def test_cold_check_loads_only_the_modules_it_runs(tmp_path, oda):
     assert not imported & {"dataclasses", "inspect", "ast", "dis"}
 
 
+INVALID_FAN = {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+
+
+def test_closed_stdout_keeps_the_exit_code_in_process(monkeypatch, capsys, fan_file, oda, tmp_path):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(INVALID_FAN))
+    for argv, code in ((["mori", fan_file("oda.json", oda.fan)], 0), (["check", str(invalid)], 1), (["gallery", "oda3"], 0)):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone: every write raises BrokenPipeError
+        with open(write, "w") as gone:
+            monkeypatch.setattr(sys, "stdout", gone)
+            assert run(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err and "BrokenPipe" not in err
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path, oda):
+    fan = tmp_path / "oda.json"
+    fan.write_text(oda.fan.to_json())
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(INVALID_FAN))
+    src = str(Path(toricfan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for command, path, code in (("mori", fan, 0), ("check", invalid, 1)):
+        read, write = os.pipe()
+        os.close(read)  # closed before the process starts, so its first write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricfan.cli", command, str(path)],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr and "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_deep_nesting_exits_2(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)

@@ -7,7 +7,7 @@ import pytest
 
 from fraction_oracle import determinant, rational_inverse, rational_rank, solve_columns, unimodular_inverse
 from fraction_oracle import phase_one as oracle_phase_one
-from fraction_oracle import pivot_branches
+from fraction_oracle import as_fractions, pivot_branches
 from toricfan.lattice import (
     DimensionMismatch,
     ZeroVector,
@@ -97,12 +97,12 @@ def test_unimodular_inverse():
 
 def test_phase_one_feasible_and_infeasible():
     # x0 + x1 = 2, x0 - x1 = 0 has x = (1, 1)
-    feasible, x, y = phase_one([[1, 1], [1, -1]], [2, 0])
-    assert feasible and y is None
-    assert x[0] + x[1] == 2 and x[0] - x[1] == 0
+    feasible, den, x = phase_one([[1, 1], [1, -1]], [2, 0])
+    assert feasible and den > 0
+    assert x[0] + x[1] == 2 * den and x[0] - x[1] == 0
     # x0 + x1 = -1 with x >= 0 is infeasible; Farkas vector must certify it
-    feasible, x, y = phase_one([[1, 1]], [-1])
-    assert not feasible and x is None
+    feasible, den, y = phase_one([[1, 1]], [-1])
+    assert not feasible and den > 0
     assert y[0] * 1 <= 0 and y[0] * (-1) > 0
 
 
@@ -112,12 +112,16 @@ def test_phase_one_farkas_certificate_random():
         m, k = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
         rhs = [rng.randint(-4, 4) for _ in range(m)]
-        feasible, x, y = phase_one(rows, rhs)
+        feasible, den, v = phase_one(rows, rhs)
+        assert den > 0 and all(isinstance(a, int) for a in v)
         if feasible:
-            assert all(v >= 0 for v in x)
+            x = v
+            assert len(x) == k and all(a >= 0 for a in x)
             for i in range(m):
-                assert sum(rows[i][j] * x[j] for j in range(k)) == rhs[i]
+                assert sum(rows[i][j] * x[j] for j in range(k)) == den * rhs[i]
         else:
+            y = v
+            assert len(y) == m
             for j in range(k):
                 assert sum(y[i] * rows[i][j] for i in range(m)) <= 0
             assert sum(y[i] * rhs[i] for i in range(m)) > 0
@@ -175,7 +179,7 @@ def test_phase_one_agrees_with_fraction_oracle_on_random_systems(stops_within_a_
             rows[j], rhs[j] = [c * a for a in rows[i]], c * rhs[i]
         got = phase_one(rows, rhs)
         pivots = []
-        assert got == oracle_phase_one(rows, rhs, pivots), (rows, rhs)
+        assert as_fractions(got) == oracle_phase_one(rows, rhs, pivots), (rows, rhs)
         for branch in pivot_branches(pivots):
             branches[branch] += 1
         outcomes[got[0]] += 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -120,24 +121,27 @@ XAB22_NOT_EXTREMAL = (-1, 0, 2, 1, 0, 0, 0, 1)
 
 
 def _wrong_answers():
-    """phase_one stand-ins that return a wrong verdict or a wrong proof."""
+    """phase_one stand-ins that return a wrong verdict or a wrong proof, in
+    its shape (feasible, den, integer v)."""
 
     def negative_combination(rows, rhs):
         # an exact rational combination of the other classes, but with a
         # negative coefficient: only possible when the target is extremal
         columns = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
-        return True, solve_columns(columns, rhs), None
+        x = solve_columns(columns, rhs)
+        den = lcm(*(c.denominator for c in x))
+        return True, den, [int(c * den) for c in x]
 
     def zero_combination(rows, rhs):
-        return True, [Fraction(0)] * len(rows[0]), None
+        return True, 1, [0] * len(rows[0])
 
     def zero_certificate(rows, rhs):
-        return False, None, [Fraction(0)] * len(rows)
+        return False, 1, [0] * len(rows)
 
     def target_as_certificate(rows, rhs):
         # y . target > 0, so y is positive on some other class whenever the
         # target is a nonnegative combination of them
-        return False, None, [Fraction(b) for b in rhs]
+        return False, 1, list(rhs)
 
     return {
         "negative_combination": (negative_combination, XAB22_EXTREMAL),
@@ -185,10 +189,10 @@ def _wrong_cheap_proofs():
         # e_i at a positive entry of the target: some class it is a
         # nonnegative combination of is positive there too
         i = next(i for i, t in enumerate(target) if t > 0)
-        return False, [int(j == i) for j in range(len(target))]
+        return False, 1, [int(j == i) for j in range(len(target))]
 
     def two_sum(target, others):
-        return True, [1, 1] + [0] * (len(others) - 2)
+        return True, 1, [1, 1] + [0] * (len(others) - 2)
 
     return {"_sign_proof": sign, "_two_sum_proof": two_sum}
 
@@ -210,8 +214,9 @@ def test_projectivity_witness_is_reverified(monkeypatch, p2, scale):
     real = mori_mod.phase_one
 
     def shrunk(rows, rhs):
-        feasible, x, y = real(rows, rhs)
-        return feasible, [scale * v for v in x], y
+        # the answer times scale: numerators times its numerator, den times its denominator
+        feasible, den, x = real(rows, rhs)
+        return feasible, den * scale.denominator, [scale.numerator * a for a in x]
 
     assert mori_mod._projectivity_raw(p2).projective
     monkeypatch.setattr(mori_mod, "phase_one", shrunk)
@@ -221,6 +226,6 @@ def test_projectivity_witness_is_reverified(monkeypatch, p2, scale):
 
 def test_zero_projectivity_certificate_is_rejected(monkeypatch, oda):
     # an all-zero Farkas vector has gcd 0: it must fail the sign check, not divide by it
-    monkeypatch.setattr(mori_mod, "phase_one", lambda rows, rhs: (False, None, [Fraction(0)] * len(rows)))
+    monkeypatch.setattr(mori_mod, "phase_one", lambda rows, rhs: (False, 1, [0] * len(rows)))
     with pytest.raises(AssertionError, match="certificate signs"):
         mori_mod._projectivity_raw(oda.fan)

@@ -13,7 +13,9 @@ against one `adjugate` per cone (also on hand-built data that needs several
 seeds), the proof-first extremality test against one full-row LP per class,
 and the integer-tableau simplex against the rational one on every
 projectivity, extremality and pairwise-fallback linear program the library
-poses and on every full-row extremality LP.
+poses and on every full-row extremality LP; the Mori verdicts are also
+required not to change when the simplex's integer answer (den, v) is handed
+over scaled.  The fans come from `corpus.py`.
 """
 
 import itertools
@@ -21,14 +23,12 @@ import math
 import random
 
 import fraction_oracle
+from corpus import _differential_corpus, _tower_levels
 from fm_oracle import feasible_geq_one
-from fraction_oracle import determinant, full_row_extremal, pivot_branches, rational_inverse, solve_columns
+from fraction_oracle import as_fractions, determinant, full_row_extremal, pivot_branches, rational_inverse, solve_columns
 from fraction_oracle import phase_one as oracle_phase_one
-from toricfan.birational import star_subdivision
-from toricfan.ewald import ewald_blow_down, suspend
 from toricfan.fan import (
     Fan,
-    MalformedInput,
     NotAWall,
     _facet_map,
     _facet_normals,
@@ -41,7 +41,7 @@ from toricfan.fan import (
 )
 from toricfan.gallery import get_fan
 from toricfan.intersection import _solve_relation
-from toricfan.lattice import adjugate, phase_one, primitive_vector, vdot, vscale, vsum
+from toricfan.lattice import adjugate, phase_one, vdot, vscale, vsum
 
 
 def _lp_feasible_geq_one(matrix):
@@ -242,63 +242,6 @@ def _all_pairs_report(f):
     return smooth, complete, proper, tuple(failures)
 
 
-def _winding_multifan(rng, dim):
-    """A cycle of 2-d cones turning twice around the origin, joined with the
-    two directions of each further coordinate up to `dim`: every wall lies in
-    exactly two cones, with opposite orientations, yet every generic point
-    lies in two cones."""
-    while True:
-        n = rng.randint(5, 7)
-        angles = [0.0] + sorted(rng.uniform(0, 4 * math.pi) for _ in range(n - 1))
-        gaps = [b - a for a, b in zip(angles, angles[1:] + [4 * math.pi])]
-        rays = [primitive_vector((round(9 * math.cos(t)), round(9 * math.sin(t)))) for t in angles]
-        turns = [rays[i][0] * rays[(i + 1) % n][1] - rays[i][1] * rays[(i + 1) % n][0] for i in range(n)]
-        if len(set(rays)) == n and max(gaps) < 3 and all(t > 0 for t in turns):
-            break
-    cones = [(i, (i + 1) % n) for i in range(n)]
-    for d in range(2, dim):
-        up, down = len(rays), len(rays) + 1
-        rays = [r + (0,) for r in rays] + [(0,) * d + (1,), (0,) * d + (-1,)]
-        cones = [c + (up,) for c in cones] + [c + (down,) for c in cones]
-    return Fan(dim, tuple(rays), tuple(cones))
-
-
-def _differential_corpus(seed=2024, size=40):
-    """Seeded fans in dims 2-5 (star chains and Ewald lifts of gallery fans),
-    each followed by two mutants: a negated ray and a perturbed coordinate;
-    then winding multi-fans of degree at least two in dims 2-4."""
-    rng = random.Random(seed)
-    bases = [
-        get_fan("pn", 2).fan,
-        get_fan("hirzebruch", 2).fan,
-        get_fan("pn", 3).fan,
-        get_fan("oda3").fan,
-        get_fan("xab", 1, 2).fan,
-        get_fan("pn", 4).fan,
-    ]
-    out = []
-    for _ in range(size):
-        f = rng.choice(bases)
-        for _ in range(rng.randint(0, 2)):
-            cone = rng.choice(f.max_cones)
-            f = star_subdivision(f, tuple(sorted(rng.sample(cone, rng.randint(2, f.dim))))).result
-        if f.dim < 5 and rng.random() < 0.5:
-            r = rng.randrange(f.n_rays)
-            f = ewald_blow_down(suspend(f, f.rays[r]), r)
-        out.append(f)
-        r = rng.randrange(f.n_rays)
-        negated = tuple(-a for a in f.rays[r])
-        r2, k = rng.randrange(f.n_rays), rng.randrange(f.dim)
-        shifted = tuple(a + (rng.choice((-1, 1)) if i == k else 0) for i, a in enumerate(f.rays[r2]))
-        for i, ray in ((r, negated), (r2, shifted)):
-            try:
-                out.append(Fan(f.dim, f.rays[:i] + (ray,) + f.rays[i + 1 :], f.max_cones))
-            except MalformedInput:
-                pass  # zero or duplicate ray
-    out.extend(_winding_multifan(rng, dim) for dim in (2, 2, 3, 3, 4))
-    return out
-
-
 def test_local_fan_property_agrees_with_all_pairs_oracle():
     checked = improper = 0
     dims = set()
@@ -316,10 +259,6 @@ def test_local_fan_property_agrees_with_all_pairs_oracle():
     assert checked >= 90
     assert improper >= 30
     assert dims == {2, 3, 4, 5}
-
-
-def _tower_levels():
-    return [get_fan("ewald-tower", k).fan for k in range(5)]  # dims 3-7
 
 
 def _oracle_relation(f, w):
@@ -518,45 +457,73 @@ def test_locate_numerators_agree_with_cramer_determinants():
 
 def _differential_phase_one(monkeypatch, *modules):
     """Make `phase_one` in each of `modules` run the integer kernel and the
-    Fraction oracle on every system it is given and require exactly equal
-    (feasible, x, y).  Returns the list of outcomes, one per system, and the
-    number of systems on which the kernel makes a pivot of each kind
+    Fraction oracle on every system it is given and require the kernel's
+    (feasible, den, v), read as fractions, to equal the oracle's (feasible,
+    x, y) exactly; each module gets the answer in its own shape, the
+    oracle's for `fraction_oracle` and the kernel's otherwise.  Returns the
+    list of the oracle's answers, one per system, and the number of systems
+    on which the kernel makes a pivot of each kind
     (`fraction_oracle.pivot_branches`)."""
-    outcomes = []
+    answers = []
     branches = {"p = D": 0, "p != D": 0}
 
-    def both(rows, rhs):
-        got = phase_one(rows, rhs)
-        pivots = []
-        assert got == oracle_phase_one(rows, rhs, pivots), (rows, rhs)
-        for branch in pivot_branches(pivots):
-            branches[branch] += 1
-        outcomes.append(got[0])
-        return got
+    def both(module):
+        def run(rows, rhs):
+            got = phase_one(rows, rhs)
+            pivots = []
+            expected = oracle_phase_one(rows, rhs, pivots)
+            assert as_fractions(got) == expected, (rows, rhs)
+            for branch in pivot_branches(pivots):
+                branches[branch] += 1
+            answers.append(expected)
+            return expected if module is fraction_oracle else got
+
+        return run
 
     for module in modules:
-        monkeypatch.setattr(module, "phase_one", both)
-    return outcomes, branches
+        monkeypatch.setattr(module, "phase_one", both(module))
+    return answers, branches
+
+
+def _primitive(values):
+    """The primitive integer vector positively proportional to the rationals
+    `values`."""
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * den) for v in values]
+    g = math.gcd(*ints)
+    return [a // g for a in ints]
 
 
 def test_mori_lps_agree_with_fraction_oracle(monkeypatch):
     """Every LP of `_projectivity_raw` and `_extremal_raw`, and the full-row
-    LP of the extremality oracle for every class, through both simplexes."""
+    LP of the extremality oracle for every class, through both simplexes;
+    the ample witness is the oracle's x read as a divisor, and the
+    certificate its y made primitive."""
     import toricfan.mori as mori_mod
 
-    outcomes, branches = _differential_phase_one(monkeypatch, mori_mod, fraction_oracle)
+    answers, branches = _differential_phase_one(monkeypatch, mori_mod, fraction_oracle)
     dims = set()
     verdicts = []
     for f in _differential_corpus() + _tower_levels():
         if not validate(f).valid:
             continue
-        verdicts.append(mori_mod._projectivity_raw(f).projective)
+        verdict = mori_mod._projectivity_raw(f)
+        feasible, x, y = answers[-1]
+        k = f.n_rays
+        if verdict.projective:
+            assert verdict.ample_witness == tuple(x[j] - x[k + j] for j in range(k)), f.to_json()
+        else:
+            reps = [ws[0] for _, ws in mori_mod.mori_generators(f)]
+            cert = [verdict.degeneracy_certificate.get(w, 0) for w in reps]
+            assert cert == _primitive(y), f.to_json()
+        verdicts.append(verdict.projective)
         for vec, _ in mori_mod.mori_generators(f):
             mori_mod._extremal_raw(f, vec)
             full_row_extremal(f, vec)
         dims.add(f.dim)
     assert dims == {2, 3, 4, 5, 6, 7}
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 10
+    outcomes = [answer[0] for answer in answers]
     assert outcomes.count(True) >= 250 and outcomes.count(False) >= 150
     assert branches["p = D"] >= 700 and branches["p != D"] >= 400
 
@@ -595,11 +562,44 @@ def test_extremality_agrees_with_full_row_lp(monkeypatch):
     assert paths["lp_feasible"] >= 95 and paths["lp_infeasible"] >= 87
 
 
+def test_verdicts_read_the_simplex_answer_as_v_over_den(monkeypatch):
+    """Each LP answer of `_projectivity_raw` and `_extremal_raw` handed over
+    as (feasible, 3 den, 3 v), which stands for the same x or y, leaves every
+    verdict, witness and certificate as it is.  The projectivity LPs of the
+    corpus all end with den = 1, so the witness's division by den is seen
+    only here."""
+    import toricfan.mori as mori_mod
+
+    real = mori_mod.phase_one
+    dens = []
+
+    def tripled(rows, rhs):
+        feasible, den, v = real(rows, rhs)
+        dens.append(den)
+        return feasible, 3 * den, [3 * a for a in v]
+
+    def verdicts(f):
+        classes = [vec for vec, _ in mori_mod.mori_generators(f)]
+        return mori_mod._projectivity_raw(f), [mori_mod._extremal_raw(f, vec) for vec in classes]
+
+    projective = 0
+    for f in _differential_corpus() + _tower_levels():
+        if not validate(f).valid:
+            continue
+        expected = verdicts(f)
+        monkeypatch.setattr(mori_mod, "phase_one", tripled)
+        assert verdicts(f) == expected, f.to_json()
+        monkeypatch.setattr(mori_mod, "phase_one", real)
+        projective += expected[0].projective
+    assert projective >= 25 and len(dens) >= 200 and sum(den > 1 for den in dens) >= 100
+
+
 def test_pair_fallback_lps_agree_with_fraction_oracle(monkeypatch):
     import toricfan.fan as fan_mod
 
-    outcomes, branches = _differential_phase_one(monkeypatch, fan_mod)
+    answers, branches = _differential_phase_one(monkeypatch, fan_mod)
     for f in _differential_corpus():
         _all_pairs_report(f)
+    outcomes = [answer[0] for answer in answers]
     assert outcomes.count(True) >= 600 and outcomes.count(False) >= 1200
     assert branches["p = D"] >= 1800 and branches["p != D"] >= 1700
