@@ -1,21 +1,22 @@
 """Analysis pipeline for pairs (X, C) with X non-projective, B_C(X) projective.
 
-For every Mori-extremal wall curve of the blow-up that meets the exceptional
-divisor E, exactly one of three phenomena occurs, read off from the sign
-pattern of the wall relation:
+Every Mori-extremal wall curve of the blow-up that meets the exceptional
+divisor E and has -K.C > 0 carries a relation u_a + u_b = u_r, where a and b
+are its apexes: its degrees are a single -1, at the ray r, and zeros.  Its
+contraction is the blow-down of r along the apexes onto the center (a, b),
+and the position of r names the phenomenon:
 
-* the curve lies inside E and meets it with degree -1: a *forbidden flip* --
-  the contraction lands on a projective variety containing the flipped
-  center, and the original curve has normal bundle O(-1)^(n-1);
-* the curve crosses E (degree +1) and the relation's -1 sits at an apex of
-  the original curve: a *trivial reduction* -- X is a point blow-up of a
-  smaller non-projective pair;
-* the curve crosses E and the -1 sits at a ray of the original curve: an
-  *elementary transformation* through a codimension-two center.
+* r = E: a *forbidden flip* -- the curve lies inside E, the contraction
+  lands on a projective variety containing the flipped center, and the
+  original curve has normal bundle O(-1)^(n-1);
+* r a ray of the original curve: an *elementary transformation* through the
+  codimension-two center (a, b);
+* r an apex of the original curve: a *trivial reduction* -- X is a point
+  blow-up of a smaller non-projective pair.
 
-The analyzer verifies rather than re-proves: each branch performs the
-prescribed blow-down, reconstructs the blow-up, and validates every fan it
-produces; any mismatch raises InvariantViolation instead of guessing.
+The analyzer verifies rather than re-proves: it performs the blow-down,
+reconstructs the blow-up, and validates every fan it produces; any mismatch
+raises InvariantViolation instead of guessing.
 """
 
 from __future__ import annotations
@@ -185,102 +186,73 @@ def analyze_pair(x: Fan, curve) -> AnalysisReport:
     unclassified: list[Wall] = []
     if not x_projective and xt_projective:
         for w in walls(xt):
-            if e not in w.rays and e not in w.apexes:
-                continue
-            rel = wall_relation(xt, w)
-            if anticanonical_degree(rel) <= 0:
-                if is_extremal(xt, w):
+            if e in w.rays + w.apexes and is_extremal(xt, w):
+                rel = wall_relation(xt, w)
+                if anticanonical_degree(rel) > 0:
+                    findings.append(_finding(x, curve_wall, rec, w, rel))
+                else:
                     unclassified.append(w)
-                continue
-            if not is_extremal(xt, w):
-                continue
-            if e in w.rays:
-                if rel.coeffs[e] >= 0:
-                    raise InvariantViolation(
-                        f"Mori-extremal wall {w.rays} lies in E with E.w = {rel.coeffs[e]} >= 0"
-                    )
-                findings.append(_forbidden_flip(x, curve_wall, rec, w, rel))
-            else:
-                findings.append(_transverse_finding(x, curve_wall, rec, w, rel))
     return AnalysisReport(
         x_projective, xt_projective, e, tuple(findings), tuple(unclassified), rec
     )
 
 
-def _forbidden_flip(x, curve_wall, rec, w, rel) -> PhenomenonFinding:
-    xt = rec.result
-    e = rec.new_ray
-    if rel.coeffs[e] != -1:
-        raise InvariantViolation(f"flip-type wall must meet E with degree -1, got {rel.coeffs[e]}")
-    for r in w.rays:
-        if r != e and rel.coeffs[r] != 0:
-            raise InvariantViolation(f"flip-type wall has nonzero degree {rel.coeffs[r]} at ray {r}")
-    a1, a2 = w.apexes
-    if vadd(xt.rays[a1], xt.rays[a2]) != xt.rays[e]:
-        raise InvariantViolation("apexes of the flip wall do not sum to the exceptional ray")
-    base_rel = wall_relation(x, curve_wall)
-    if any(d != -1 for d in base_rel.normal_degrees):
-        raise InvariantViolation(
-            f"flip case needs normal bundle O(-1)^(n-1) on the curve, got {base_rel.normal_degrees}"
-        )
-    y = blow_down(xt, e, (a1, a2))
-    if not is_projective(y).projective:
-        raise InvariantViolation("the flip contraction image is not projective")
-    z = (reindex_after_removal(a1, e), reindex_after_removal(a2, e))
-    if star_subdivision(y, z).result != xt:
-        raise InvariantViolation("re-blowing up the flip center does not reproduce the blow-up fan")
-    if x.dim == 3:
-        z_rel = wall_relation(y, wall_lookup(y, z))
-        if z_rel.normal_degrees != (-1, -1):
-            raise InvariantViolation(f"flipped curve has degrees {z_rel.normal_degrees}, expected (-1, -1)")
-        if is_extremal(y, wall_lookup(y, z)):
-            raise InvariantViolation("flipped curve class is extremal although X is non-projective")
-    return PhenomenonFinding(FORBIDDEN_FLIP, w, -1, {"Y": y, "Z": z})
-
-
-def _transverse_finding(x, curve_wall, rec, w, rel) -> PhenomenonFinding:
-    xt = rec.result
-    e = rec.new_ray
-    e_prime = w.apexes[0] if w.apexes[1] == e else w.apexes[1]
-    degrees = {r: rel.coeffs[r] for r in w.rays}
-    if any(d > 0 for d in degrees.values()):
-        raise InvariantViolation(f"transverse Mori-extremal wall has a positive degree: {degrees}")
-    negative = [r for r, d in degrees.items() if d < 0]
-    if not negative:
-        raise InvariantViolation(
-            "transverse wall relation is trivial; the base fan would be projective"
-        )
-    if len(negative) != 1 or degrees[negative[0]] != -1:
-        raise InvariantViolation(f"transverse wall degrees {degrees} violate the -K > 0 bound")
-    r = negative[0]
-    if vadd(xt.rays[e], xt.rays[e_prime]) != xt.rays[r]:
-        raise InvariantViolation("exceptional ray plus opposite apex does not sum to the contracted ray")
-
-    elementary = r in rec.center
-    if elementary:
-        image, center_name = "elementary-transformation", "transformation"
+def _finding(x, curve_wall, rec, w, rel) -> PhenomenonFinding:
+    """Classify a Mori-extremal wall `w` of the blow-up that meets E and has
+    -K.w > 0 by the position of the -1 in its relation `rel`, after checking
+    that the relation is u_a + u_b = u_r over its apexes a, b."""
+    xt, e = rec.result, rec.new_ray
+    degrees = [rel.coeffs[i] for i in w.rays]
+    if sorted(degrees) != [-1] + [0] * (len(degrees) - 1):
+        raise InvariantViolation(f"Mori-extremal wall {w.rays} has degrees {degrees}, not a single -1")
+    r = w.rays[degrees.index(-1)]
+    if e in w.rays and r != e:
+        raise InvariantViolation(f"Mori-extremal wall {w.rays} lies in E but has its -1 at ray {r}")
+    a, b = w.apexes
+    if vadd(xt.rays[a], xt.rays[b]) != xt.rays[r]:
+        raise InvariantViolation(f"the apexes {w.apexes} of wall {w.rays} do not sum to ray {r}")
+    if r == e:
+        kind = FORBIDDEN_FLIP
+        base_degrees = wall_relation(x, curve_wall).normal_degrees
+        if any(d != -1 for d in base_degrees):
+            raise InvariantViolation(
+                f"flip case needs normal bundle O(-1)^(n-1) on the curve, got {base_degrees}"
+            )
+    elif r in rec.center:
+        kind = ELEMENTARY_TRANSFORMATION
     elif r in curve_wall.apexes:
-        image, center_name = "trivial-reduction", "reduction"
+        kind = TRIVIAL_REDUCTION
     else:
-        raise InvariantViolation(f"the contracted ray {r} is neither a curve ray nor a curve apex")
-    y = blow_down(xt, r, (e, e_prime))
+        raise InvariantViolation(f"the contracted ray {r} is neither E, a curve ray nor a curve apex")
+    y = blow_down(xt, r, (a, b))
     if not is_projective(y).projective:
-        raise InvariantViolation(f"{image} image is not projective")
-    center = tuple(sorted((reindex_after_removal(e, r), reindex_after_removal(e_prime, r))))
+        raise InvariantViolation(f"the {kind} contraction image is not projective")
+    center = (reindex_after_removal(a, r), reindex_after_removal(b, r))
     if star_subdivision(y, center).result != xt:
-        raise InvariantViolation(f"re-blowing up the {center_name} center does not reproduce the blow-up fan")
-    if elementary:
-        return PhenomenonFinding(ELEMENTARY_TRANSFORMATION, w, 1, {"Y": y, "center": center})
+        raise InvariantViolation(f"re-blowing up the {kind} center does not reproduce the blow-up fan")
 
-    x_prime = blow_down(x, r, curve_wall.rays + (e_prime,))
-    if is_projective(x_prime).projective:
-        raise InvariantViolation("the reduced variety is projective although X is not")
-    p = tuple(sorted(reindex_after_removal(i, r) for i in curve_wall.rays + (e_prime,)))
-    if star_subdivision(x_prime, p).result != x:
-        raise InvariantViolation("re-blowing up the fixed point does not reproduce X")
-    reduced_curve = tuple(reindex_after_removal(i, r) for i in curve_wall.rays)
-    if blow_up_curve(x_prime, reduced_curve).result != y:
-        raise InvariantViolation("blowing up the reduced curve does not reproduce Y")
-    return PhenomenonFinding(
-        TRIVIAL_REDUCTION, w, 1, {"Y": y, "X_prime": x_prime, "p": p}
-    )
+    constructed = {"Y": y}
+    if kind == FORBIDDEN_FLIP:
+        constructed["Z"] = center
+        if x.dim == 3:
+            z = wall_lookup(y, center)
+            z_degrees = wall_relation(y, z).normal_degrees
+            if z_degrees != (-1, -1):
+                raise InvariantViolation(f"flipped curve has degrees {z_degrees}, expected (-1, -1)")
+            if is_extremal(y, z):
+                raise InvariantViolation("flipped curve class is extremal although X is non-projective")
+    elif kind == ELEMENTARY_TRANSFORMATION:
+        constructed["center"] = center
+    else:
+        p_rays = curve_wall.rays + (b if a == e else a,)
+        x_prime = blow_down(x, r, p_rays)
+        if is_projective(x_prime).projective:
+            raise InvariantViolation("the reduced variety is projective although X is not")
+        p = tuple(sorted(reindex_after_removal(i, r) for i in p_rays))
+        if star_subdivision(x_prime, p).result != x:
+            raise InvariantViolation("re-blowing up the fixed point does not reproduce X")
+        reduced_curve = tuple(reindex_after_removal(i, r) for i in curve_wall.rays)
+        if blow_up_curve(x_prime, reduced_curve).result != y:
+            raise InvariantViolation("blowing up the reduced curve does not reproduce Y")
+        constructed.update(X_prime=x_prime, p=p)
+    return PhenomenonFinding(kind, w, rel.coeffs[e], constructed)

@@ -140,14 +140,7 @@ def blow_up_curve(f: Fan, wall_curve) -> BlowupRecord:
             sections.append(ww)
     if len(sections) != len(w.rays):
         raise AssertionError("curve blow-up produced the wrong number of section walls")
-    return BlowupRecord(
-        base=rec.base,
-        result=rec.result,
-        center=rec.center,
-        new_ray=rec.new_ray,
-        exceptional_walls=rec.exceptional_walls,
-        section_walls=tuple(sections),
-    )
+    return rec._replace(section_walls=tuple(sections))
 
 
 def blow_down(f: Fan, ray: int, decomposition) -> Fan:

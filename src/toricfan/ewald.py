@@ -32,11 +32,10 @@ class NotATowerPair(PropertyFailure):
     """A tower fan is projective, or its curve blow-up is not."""
 
 
-class SuspensionRecord(namedtuple("SuspensionRecord", "base v suspended ray_up ray_down lifted_rays")):
+class SuspensionRecord(namedtuple("SuspensionRecord", "base v suspended ray_up ray_down")):
     """Suspension bookkeeping: `suspended` is `base` suspended by `v`;
     `ray_up` indexes (v, 1), `ray_down` indexes (0, -1) (the fibers over 0
-    and infinity); `lifted_rays[i]` is the index of the flat lift of base
-    ray i."""
+    and infinity); the flat lift of base ray i keeps index i."""
 
     __slots__ = ()
 
@@ -46,17 +45,16 @@ def suspend(base: Fan, v) -> SuspensionRecord:
     v = tuple(_exact_int(a, "suspension coordinate") for a in v)
     if len(v) != base.dim:
         raise MalformedInput(f"direction {v} does not have dimension {base.dim}")
-    n_base = base.n_rays
     rays = [r + (0,) for r in base.rays]
     rays.append(v + (1,))
     rays.append((0,) * base.dim + (-1,))
-    up, down = n_base, n_base + 1
+    up, down = base.n_rays, base.n_rays + 1
     cones = [c + (up,) for c in base.max_cones] + [c + (down,) for c in base.max_cones]
     suspended = Fan(base.dim + 1, tuple(rays), tuple(cones))
     report = validate(suspended)
     if not report.valid:
         raise AssertionError(f"suspension produced an invalid fan: {report.failures}")
-    return SuspensionRecord(base, v, suspended, up, down, tuple(range(n_base)))
+    return SuspensionRecord(base, v, suspended, up, down)
 
 
 def ewald_blow_down(rec: SuspensionRecord, divisor_ray: int) -> Fan:
@@ -72,7 +70,7 @@ def ewald_blow_down(rec: SuspensionRecord, divisor_ray: int) -> Fan:
         raise VMismatch(
             f"suspension direction {rec.v} is not the generator of ray {divisor_ray}"
         )
-    return blow_down(rec.suspended, rec.lifted_rays[divisor_ray], (rec.ray_up, rec.ray_down))
+    return blow_down(rec.suspended, divisor_ray, (rec.ray_up, rec.ray_down))
 
 
 def _check_pair(f: Fan, w: Wall):
@@ -103,13 +101,10 @@ def ewald_tower(base: Fan, curve, steps: int):
         divisor = min(w.rays)  # smallest index, for reproducibility
         rec = suspend(f, f.rays[divisor])
         nxt = ewald_blow_down(rec, divisor)
-        removed = rec.lifted_rays[divisor]
         lifted = [
-            reindex_after_removal(rec.lifted_rays[i], removed) for i in w.rays if i != divisor
+            reindex_after_removal(i, divisor) for i in w.rays + (rec.ray_up, rec.ray_down) if i != divisor
         ]
-        lifted.append(reindex_after_removal(rec.ray_up, removed))
-        lifted.append(reindex_after_removal(rec.ray_down, removed))
-        nw = wall_lookup(nxt, tuple(sorted(lifted)))
+        nw = wall_lookup(nxt, lifted)
         _check_pair(nxt, nw)
         out.append((nxt, nw))
     return out

@@ -1,5 +1,10 @@
+import json
+
 import pytest
 
+from corpus import _differential_corpus
+from fm_oracle import fan_is_projective
+from toricfan import analyzer
 from toricfan.analyzer import (
     ELEMENTARY_TRANSFORMATION,
     FORBIDDEN_FLIP,
@@ -9,11 +14,11 @@ from toricfan.analyzer import (
     fiber_class_extremal,
     hypothesis_guarantee,
 )
-from toricfan.birational import BlowupRecord, blow_up_curve, star_subdivision
-from toricfan.fan import MalformedInput, validate, wall_lookup
+from toricfan.birational import BlowupRecord, blow_down, blow_up_curve, star_subdivision
+from toricfan.fan import InvariantViolation, MalformedInput, picard_number, validate, wall_lookup, walls
 from toricfan.gallery import get_fan
 from toricfan.intersection import wall_relation
-from toricfan.mori import is_projective
+from toricfan.mori import is_extremal, is_projective
 
 
 def test_fiber_class_extremal_p3(p3):
@@ -131,3 +136,83 @@ def test_report_equality_ignores_the_blowup_record(oda):
     assert report == bare and not report != bare
     assert hash(report._replace(findings=())) == hash(bare._replace(findings=()))
     assert report != report._replace(exceptional_ray=report.exceptional_ray + 1)
+
+
+def _oda_fans():
+    """oda3 ("X"), its blow-up along the curve (1, 4) ("Xt", E is ray 7) and
+    the image ("Y") of the flip contraction of the wall (1, 7)."""
+    x = get_fan("oda3").fan
+    xt = blow_up_curve(x, (1, 4)).result
+    return {"X": x, "Xt": xt, "Y": blow_down(xt, 7, (0, 5))}
+
+
+@pytest.mark.parametrize(
+    "fan, rays, changes, message",
+    [
+        # the flip witness (1, 7) with a +1 next to its -1 at E: -K.C = 2 > 0
+        ("Xt", (1, 7), {1: 1}, "not a single -1"),
+        # the same wall inside E, its -1 moved from E to ray 1
+        ("Xt", (1, 7), {1: -1, 7: 0}, "lies in E"),
+        # the transverse wall (4, 5), apexes 3 and E, has degrees (-1, -1) and
+        # -K.C = 0; with the -1 left only at ray 5 it is classified, but
+        # u_3 + u_E is not u_5
+        ("Xt", (4, 5), {4: 0}, "do not sum"),
+        # the curve (1, 4) of X no longer has normal bundle O(-1) + O(-1)
+        ("X", (1, 4), {4: 0}, r"O\(-1\)\^\(n-1\)"),
+        # the flipped curve (0, 5) of Y no longer has degrees (-1, -1)
+        ("Y", (0, 5), {0: 0}, "flipped curve has degrees"),
+    ],
+    ids=[
+        "positive_degree", "minus_one_off_e", "apexes_miss_ray", "base_curve_degrees", "flipped_curve_degrees",
+    ],
+)
+def test_tampered_relation_raises_invariant_violation(monkeypatch, fan, rays, changes, message):
+    fans = _oda_fans()
+    target, real = fans[fan], analyzer.wall_relation
+
+    def tampered(f, w):
+        rel = real(f, w)
+        if w.rays == rays and f == target:
+            rel = rel._replace(coeffs=tuple(changes.get(i, c) for i, c in enumerate(rel.coeffs)))
+        return rel
+
+    monkeypatch.setattr(analyzer, "wall_relation", tampered)
+    with pytest.raises(InvariantViolation, match=message):
+        analyze_pair(fans["X"], (1, 4))
+
+
+def test_trichotomy_on_the_corpus():
+    """Every corpus pair (X, C) with X non-projective and B_C(X) projective:
+    the analysis raises nothing, lists every Mori-extremal wall meeting E as a
+    finding or unclassified, names each finding by the position of the -1 in
+    its witness wall's relation, and builds each Y valid and projective with
+    Picard number one less than the blow-up's."""
+    pairs, kinds = 0, set()
+    for x in _differential_corpus():
+        if not validate(x).valid or is_projective(x).projective:
+            continue
+        for c in walls(x):
+            report = analyze_pair(x, c)
+            if not report.xt_projective:
+                continue
+            pairs += 1
+            xt, e = report.blowup.result, report.exceptional_ray
+            meeting = {w for w in walls(xt) if e in w.rays + w.apexes and is_extremal(xt, w)}
+            assert meeting == {f.witness_wall for f in report.findings} | set(report.unclassified)
+            for finding in report.findings:
+                w = finding.witness_wall
+                (r,) = [i for i in w.rays if wall_relation(xt, w).coeffs[i] == -1]
+                if r == e:
+                    assert finding.kind == FORBIDDEN_FLIP
+                elif r in c.rays:
+                    assert finding.kind == ELEMENTARY_TRANSFORMATION
+                else:
+                    assert r in c.apexes and finding.kind == TRIVIAL_REDUCTION
+                y = finding.constructed["Y"]
+                assert validate(y).valid and picard_number(y) == picard_number(xt) - 1
+                assert fan_is_projective(y)
+                kinds.add(finding.kind)
+            data = report.to_dict()
+            assert json.loads(json.dumps(data)) == data
+    assert pairs >= 25
+    assert kinds == {FORBIDDEN_FLIP, ELEMENTARY_TRANSFORMATION, TRIVIAL_REDUCTION}

@@ -18,6 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from toricfan.birational import star_subdivision
 from toricfan.cli import run
 from toricfan.gallery import get_fan
 
@@ -36,6 +37,7 @@ COMMANDS = (
     ("analyze oda3 --curve 1,4", "analyze", "oda3", ("--curve", "1,4")),
     ("analyze xab 1 0 --curve 4,7", "analyze", "xab 1 0", ("--curve", "4,7")),
     ("analyze xab -1 0 --curve 2,7", "analyze", "xab -1 0", ("--curve", "2,7")),
+    ("analyze oda3 blowup 0,1,4 --curve 1,4", "analyze", "oda3 blowup 0,1,4", ("--curve", "1,4")),
     ("check oda3, ray 6 negated", "check", "oda3 negate 6", ()),
     ("check oda3, first cone dropped", "check", "oda3 drop 0", ()),
 )
@@ -43,15 +45,19 @@ COMMANDS = (
 
 def _fan_data(source):
     """The fan file contents for a gallery name and parameters, optionally
-    followed by `negate i` (ray i negated) or `drop k` (cone k removed)."""
+    followed by `negate i` (ray i negated), `drop k` (cone k removed) or
+    `blowup i,j,k` (star subdivision at the cone of rays i, j, k)."""
     words = source.split()
-    edit = words[-2:] if len(words) >= 3 and words[-2] in ("negate", "drop") else None
+    edit = words[-2:] if len(words) >= 3 and words[-2] in ("negate", "drop", "blowup") else None
     name, *params = words[:-2] if edit else words
-    data = get_fan(name, *(int(p) for p in params)).fan.to_dict()
+    fan = get_fan(name, *(int(p) for p in params)).fan
+    if edit and edit[0] == "blowup":
+        fan = star_subdivision(fan, [int(i) for i in edit[1].split(",")]).result
+    data = fan.to_dict()
     if edit and edit[0] == "negate":
         i = int(edit[1])
         data["rays"][i] = [-a for a in data["rays"][i]]
-    elif edit:
+    elif edit and edit[0] == "drop":
         del data["max_cones"][int(edit[1])]
     return data
 
