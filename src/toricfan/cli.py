@@ -198,10 +198,7 @@ def _cmd_ewald_blowdown(args) -> int:
 
     f = _load_fan(args.fan)
     _require_valid(f)
-    if not 0 <= args.ray < f.n_rays:
-        raise MalformedInput(f"ray index {args.ray} out of range")
-    rec = ewald.suspend(f, f.rays[args.ray])
-    result = ewald.ewald_blow_down(rec, args.ray)
+    result = ewald.ewald_lift(f, args.ray)
     _emit(result.to_dict(), f"dimension {result.dim}, rho {picard_number(result)}")
     return 0
 

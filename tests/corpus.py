@@ -7,7 +7,7 @@ import math
 import random
 
 from toricfan.birational import star_subdivision
-from toricfan.ewald import ewald_blow_down, suspend
+from toricfan.ewald import ewald_lift
 from toricfan.fan import Fan, MalformedInput
 from toricfan.gallery import get_fan
 from toricfan.lattice import primitive_vector
@@ -34,10 +34,11 @@ def _winding_multifan(rng, dim):
     return Fan(dim, tuple(rays), tuple(cones))
 
 
-def _differential_corpus(seed=2024, size=40):
-    """Seeded fans in dims 2-5 (star chains and Ewald lifts of gallery fans),
-    each followed by two mutants: a negated ray and a perturbed coordinate;
-    then winding multi-fans of degree at least two in dims 2-4."""
+def _differential_corpus(seed=2024, size=40, lift=ewald_lift):
+    """Seeded fans in dims 2-5 (star chains and Ewald lifts of gallery fans,
+    each lift made by `lift(fan, ray index)`), each followed by two mutants:
+    a negated ray and a perturbed coordinate; then winding multi-fans of
+    degree at least two in dims 2-4."""
     rng = random.Random(seed)
     bases = [
         get_fan("pn", 2).fan,
@@ -55,7 +56,7 @@ def _differential_corpus(seed=2024, size=40):
             f = star_subdivision(f, tuple(sorted(rng.sample(cone, rng.randint(2, f.dim))))).result
         if f.dim < 5 and rng.random() < 0.5:
             r = rng.randrange(f.n_rays)
-            f = ewald_blow_down(suspend(f, f.rays[r]), r)
+            f = lift(f, r)
         out.append(f)
         r = rng.randrange(f.n_rays)
         negated = tuple(-a for a in f.rays[r])

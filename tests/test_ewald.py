@@ -1,7 +1,10 @@
-import pytest
+import random
 
-from toricfan.birational import blow_up_curve
-from toricfan.ewald import VMismatch, ewald_blow_down, ewald_tower, suspend
+import pytest
+from corpus import _differential_corpus
+
+from toricfan.birational import blow_down, blow_up_curve
+from toricfan.ewald import VMismatch, ewald_blow_down, ewald_lift, ewald_tower, suspend
 from toricfan.fan import Fan, MalformedInput, lattice_isomorphism, picard_number, validate, wall_lookup
 from toricfan.gallery import get_fan
 from toricfan.mori import is_projective
@@ -64,8 +67,9 @@ def test_tower_steps(oda):
 
 
 def test_tower_rejects_projective_base(p3):
-    with pytest.raises(ValueError):
-        ewald_tower(p3, (0, 1), 1)
+    for _ in range(2):  # a failing pair check is not memoized
+        with pytest.raises(ValueError):
+            ewald_tower(p3, (0, 1), 1)
 
 
 def test_disjoint_divisor_keeps_codimension(oda):
@@ -95,3 +99,53 @@ def test_suspend_rejects_non_integer_directions(p2, v):
 def test_tower_rejects_bad_step_counts(oda, steps):
     with pytest.raises(MalformedInput):
         ewald_tower(oda.fan, (1, 4), steps)
+
+
+def _checked_lift(f, i):
+    """`ewald_lift(f, i)`, after checking that it has exactly the rays and
+    the cones, in their order, of blowing the suspension by u_i down."""
+    lifted = ewald_lift(f, i)
+    rec = suspend(f, f.rays[i])
+    oracle = blow_down(rec.suspended, i, (rec.ray_up, rec.ray_down))
+    assert (lifted.rays, lifted.max_cones) == (oracle.rays, oracle.max_cones), (f, i)
+    return lifted
+
+
+def test_lift_matches_suspension_blow_down_on_towers(oda):
+    # each oda3 curve carried up to dimension 7, and that level lifted once more
+    for curve in oda.notes.distinguished_walls:
+        f, rays = oda.fan, curve
+        while f.dim <= 7:
+            divisor = min(rays)
+            rays = [j - (j > divisor) for j in rays if j != divisor] + [f.n_rays - 1, f.n_rays]
+            f = _checked_lift(f, divisor)
+
+
+def test_lift_matches_suspension_blow_down_on_corpus_and_gallery():
+    lifts = []
+
+    def lift(f, i):
+        lifts.append(i)
+        return _checked_lift(f, i)
+
+    _differential_corpus(lift=lift)
+    assert len(lifts) >= 10
+    rng = random.Random(4117)
+    dim3 = [get_fan("pn", 3).fan, get_fan("oda3").fan]
+    dim3 += [get_fan("xab", a, b).fan for a in range(-3, 4) for b in range(-3, 4)]
+    for f in dim3:
+        _checked_lift(f, rng.randrange(f.n_rays))
+
+
+@pytest.mark.parametrize("edit", ["drop first cone", "negate ray 0"])
+def test_invalid_base_is_malformed_input(oda, edit):
+    data = oda.fan.to_dict()
+    if edit == "drop first cone":
+        del data["max_cones"][0]
+    else:
+        data["rays"][0] = [-a for a in data["rays"][0]]
+    bad = Fan.from_dict(data)
+    with pytest.raises(MalformedInput, match="invalid fan"):
+        suspend(bad, bad.rays[2])
+    with pytest.raises(MalformedInput, match="invalid fan"):
+        ewald_lift(bad, 2)

@@ -1,10 +1,11 @@
 """Golden command-line output: stdout and exit code of fixed commands.
 
-`golden_cli.json` holds what `toric check`, `toric mori` and `toric analyze`
-printed on stdout, and the exit code, for gallery fans and two invalid
-fixtures, as recorded from an earlier release.  The test runs the same
+`golden_cli.json` holds what `toric check`, `toric mori`, `toric analyze`,
+`toric ewald blowdown` and `toric ewald tower` printed on stdout, and the
+exit code, for gallery fans and two invalid fixtures, as recorded from an
+earlier release.  The test runs the same
 commands and compares byte for byte, so a change to any layer the reports
-pass through (validation, wall relations, the LPs, the JSON rendering) that
+pass through (validation, wall relations, the LPs, the Ewald lift, the JSON rendering) that
 alters a single byte of a report fails here.
 
 To record the file anew, when a change of output is intended:
@@ -24,7 +25,7 @@ from toricfan.gallery import get_fan
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 
-# (label, command, fan source, extra arguments)
+# (label, command words, fan source, extra arguments)
 COMMANDS = (
     ("check oda3", "check", "oda3", ()),
     ("mori oda3", "mori", "oda3", ()),
@@ -40,6 +41,8 @@ COMMANDS = (
     ("analyze oda3 blowup 0,1,4 --curve 1,4", "analyze", "oda3 blowup 0,1,4", ("--curve", "1,4")),
     ("check oda3, ray 6 negated", "check", "oda3 negate 6", ()),
     ("check oda3, first cone dropped", "check", "oda3 drop 0", ()),
+    ("ewald blowdown oda3 --ray 2", "ewald blowdown", "oda3", ("--ray", "2")),
+    ("ewald tower oda3 --curve 1,4 --steps 2", "ewald tower", "oda3", ("--curve", "1,4", "--steps", "2")),
 )
 
 
@@ -70,7 +73,7 @@ def record(workdir):
         path.write_text(json.dumps(_fan_data(source), sort_keys=True))
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = run([command, str(path), *extra])
+            code = run([*command.split(), str(path), *extra])
         out[label] = {"exit": code, "stdout": stdout.getvalue()}
     return out
 
