@@ -17,7 +17,6 @@ from .fan import (
     PropertyFailure,
     Wall,
     cone_bases,
-    derived,
     validate,
     wall_lookup,
     walls,
@@ -183,7 +182,7 @@ def blow_down(f: Fan, ray: int, decomposition) -> Fan:
     rays = tuple(r for i, r in enumerate(f.rays) if i != ray)
     cones = tuple(tuple(sorted(remap[i] for i in c)) for c in new_cones)
     result = Fan(f.dim, rays, cones)
-    bases = derived(result, cone_bases)
+    bases = cone_bases(result)
     for cone in replacements:
         if abs(bases[tuple(remap[i] for i in cone)][0]) != 1:
             raise ResultSingular(f"replacement cone {cone} is not unimodular")

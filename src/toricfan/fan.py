@@ -8,18 +8,15 @@ that the data describes a smooth complete toric variety.  For complete data
 the fan property is decided locally, from the orientations of the two cones
 on each wall and the number of cones containing one generic point; pairwise
 cone intersections are examined only for incomplete data and to name the
-offending pairs of a rejected fan.  Every cone-basis question (smoothness,
-orientations, generic points, facet normals, wall relations) reads one
-derived table, `cone_bases`: each maximal cone's determinant and integer
-adjugate, computed once per fan data by a walk over the cones' dual graph.
-One full adjugate seeds each connected component.  A cone across a facet of
-a visited cone (det, cols), with apex u in place of that cone's ray k and
-nums[j] = u . cols[j], has determinant nums[k], keeps column k and gets
-every other column j as (nums[k] cols[j] - nums[j] cols[k]) / det; the new
-ray then moves to its sorted slot, negating everything if the shift is odd.
-The result satisfies the new adjugate's defining equations, so it is that
-integer matrix and the division is exact (Sylvester's identity, as in the
-Bareiss pivots of `lattice.phase_one`).
+offending pairs of a rejected fan.  Every wall question (smoothness,
+completeness, orientations, generic points, facet normals, wall relations)
+reads one derived entry, `_wall_pass`, computed once per fan data by one
+walk over the cones' dual graph: each maximal cone's determinant and
+integer adjugate (`cone_bases`), the walls, the facets not in two cones,
+and the side test.  One full adjugate seeds each connected component; every
+other cone follows from a neighbour by one exact, fraction-free exchange,
+whose pivot's sign also says on which side of the shared facet its new apex
+lies.
 """
 
 from __future__ import annotations
@@ -247,7 +244,8 @@ def _validate_raw(f: Fan) -> ValidationReport:
     The fan property of complete data whose cones all have non-zero
     determinant is decided locally: such data is a fan iff
     (a) every wall lies in exactly two cones (completeness),
-    (b) the two cones on every wall lie on opposite sides of it, and
+    (b) the two cones on every wall lie on opposite sides of it (read by
+        `_wall_pass` off the sign of one Cramer numerator), and
     (c) a generic point lies in exactly one cone.
     This is the degree-one case of the degree of a multi-fan (Hattori-Masuda,
     "Theory of multi-fans", Osaka J. Math. 40, 2003).
@@ -269,8 +267,8 @@ def _validate_raw(f: Fan) -> ValidationReport:
     only on incomplete or degenerate data, where the argument does not
     apply, and after a local rejection, to name the pairs that overlap.
     """
-    dim, rays, cones = f.dim, f.rays, f.max_cones
-    bases = derived(f, cone_bases)
+    rays, cones = f.rays, f.max_cones
+    bases, _, open_facets, opposite = derived(f, _wall_pass)
     failures = []
     smooth = True
     for cone in cones:
@@ -279,14 +277,10 @@ def _validate_raw(f: Fan) -> ValidationReport:
             smooth = False
             failures.append(f"cone {cone} has determinant {d}")
 
-    complete = bool(cones)
+    complete = bool(cones) and not open_facets
     if not cones:
         failures.append("fan has no maximal cones")
-    facets = _facet_map(dim, cones)
-    for facet, adjacent in facets.items():
-        if len(adjacent) != 2:
-            complete = False
-            failures.append(f"wall {facet} bounds {len(adjacent)} maximal cones")
+    failures.extend(f"wall {facet} bounds {count} maximal cones" for facet, count in open_facets)
 
     proper = True
     used = set(itertools.chain.from_iterable(cones))
@@ -298,7 +292,7 @@ def _validate_raw(f: Fan) -> ValidationReport:
     if degenerate:
         proper = False
     local = complete and not degenerate
-    if local and _locally_proper(rays, cones, bases, facets):
+    if local and opposite and _covering_number(rays, cones, bases) == 1:
         return ValidationReport(smooth, complete, proper, tuple(failures))
     live = [c for c in cones if c not in degenerate]
     normals = {c: _facet_normals(*bases[c]) for c in live}
@@ -319,52 +313,74 @@ def cone_bases(f: Fan) -> dict:
     """Each maximal cone's (det, cols): det is the determinant of its rays in
     sorted order and cols the columns of their adjugate, so a vector p has
     coordinates (p . cols[k]) / det in the cone's basis; cols is None when
-    det == 0.
+    det == 0.  The table is the first entry of `_wall_pass`."""
+    return derived(f, _wall_pass)[0]
 
-    The table is built by a walk over the dual graph of the cones.  The
-    first unvisited cone (in sorted order) is a seed and gets one full
+
+def _wall_pass(f: Fan):
+    """(bases, walls, open_facets, opposite) of the fan data, from one walk
+    over one facet map: `bases` is the `cone_bases` table, `walls` the sorted
+    `Wall`s of the facets in exactly two cones, `open_facets` the
+    (facet, count) of every other facet in facet-map order, and `opposite`
+    whether the cones on each shared facet lie on opposite sides of it,
+    which `_validate_raw` reads only on complete, non-degenerate data.
+
+    The first unvisited cone (in sorted order) is a seed and gets one full
     `adjugate`; every unvisited cone sharing a facet with a visited cone of
     non-zero determinant D is derived from it by one fraction-free exchange:
     the apex u of the new cone replaces the ray in slot k, with
     nums[j] = u . cols[j].  The new determinant is nums[k] (cofactor
     expansion along row k); column k is kept, and every other column j
     becomes (nums[k] cols[j] - nums[j] cols[k]) / D, which satisfies the
-    adjugate's defining equations for the new rows and is therefore the
-    new adjugate, an integer matrix: the division is exact (Sylvester's
-    identity, Bareiss 1968), the same update `phase_one` pivots with.
-    Moving u from slot k to its sorted slot is |pos - k| adjacent row swaps,
-    each negating the determinant and every column.  A cone reached only
-    through degenerate cones, or not at all, is a seed of its own.
+    adjugate's defining equations for the new rows and is therefore the new
+    adjugate, an integer matrix: the division is exact (Sylvester's
+    identity, Bareiss 1968).  Moving u to its sorted slot pos is |pos - k|
+    adjacent row swaps, each negating the determinant and every column.  A
+    cone reached only through degenerate cones, or not at all, is a seed.
 
-    The facet map the walk needs is built here and dropped: sharing it
-    through `derived` would keep one more per-fan dict alive in the memo
-    for a small saving.
+    The side test: u is (u . cols[k] / D) times the ray in slot k plus a
+    combination of the facet's rays, so u lies across the facet iff
+    u . cols[k] and D have opposite signs.  An exchange reads u . cols[k]
+    as nums[k]; a facet to a cone already in the table costs that one dot
+    product.  The first cone the walk scans on a facet decides it.  Those
+    other facets matter only on a non-orientable complex: on an orientable
+    one, cones of both orientations meet across some facet the walk crosses.
     """
-    facets = _facet_map(f.dim, f.max_cones)
-    out = {}
+    dim, rays = f.dim, f.rays
+    facets = _facet_map(dim, f.max_cones)
+    bases = {}
+    scanned = set()
+    opposite = True
     for seed in f.max_cones:
-        if seed in out:
+        if seed in bases:
             continue
-        det, adj = adjugate([f.rays[i] for i in seed])
-        out[seed] = (det, None if adj is None else tuple(zip(*adj)))
+        det, adj = adjugate([rays[i] for i in seed])
+        bases[seed] = (det, None if adj is None else tuple(zip(*adj)))
         queue = [seed]
         for cone in queue:
-            det, cols = out[cone]
+            det, cols = bases[cone]
             if cols is None:
                 continue
-            for k in range(f.dim):
-                facet = cone[:k] + cone[k + 1 :]
-                for other, apex in facets[facet]:
-                    if other not in out:
-                        out[other] = _exchange(det, cols, k, f.rays[apex], other.index(apex))
+            scanned.add(cone)
+            for k in range(dim):
+                for other, apex in facets[cone[:k] + cone[k + 1 :]]:
+                    if other in scanned:
+                        continue
+                    if other not in bases:
+                        nums = [vdot(rays[apex], col) for col in cols]
+                        bases[other] = _exchange(det, cols, k, nums, other.index(apex))
                         queue.append(other)
-    return out
+                        opposite = opposite and nums[k] * det < 0
+                    elif opposite:
+                        opposite = vdot(rays[apex], cols[k]) * det < 0
+    found = sorted(Wall(facet, (a[0][1], a[1][1])) for facet, a in facets.items() if len(a) == 2)
+    open_facets = tuple((facet, len(a)) for facet, a in facets.items() if len(a) != 2)
+    return bases, tuple(found), open_facets, opposite
 
 
-def _exchange(det, cols, k, u, pos):
-    """(det, cols) of the cone whose ray in slot k is replaced by u, moved to
-    slot pos; see `cone_bases`."""
-    nums = [vdot(u, col) for col in cols]
+def _exchange(det, cols, k, nums, pos):
+    """(det, cols) of the cone whose ray in slot k is replaced by a vector u
+    with nums[j] = u . cols[j], moved to slot pos; see `_wall_pass`."""
     new_det = nums[k]
     if new_det == 0:
         return 0, None
@@ -377,21 +393,6 @@ def _exchange(det, cols, k, u, pos):
     if (pos - k) % 2:
         return -new_det, tuple(tuple(-a for a in col) for col in new)
     return new_det, tuple(new)
-
-
-def _locally_proper(rays, cones, bases, facets):
-    """Conditions (b) and (c) of `_validate_raw` on complete, non-degenerate data."""
-    for wall, ((c1, a1), (c2, a2)) in facets.items():
-        if _side(wall, a1, bases[c1][0]) == _side(wall, a2, bases[c2][0]):
-            return False
-    return _covering_number(rays, cones, bases) == 1
-
-
-def _side(wall, apex, det):
-    """Sign of det(wall rays..., apex), as a bool, from the determinant `det`
-    of the sorted cone: moving the apex last passes the wall rays above it."""
-    flips = sum(1 for i in wall if i > apex)
-    return (det > 0) == (flips % 2 == 0)
 
 
 def _covering_number(rays, cones, bases):
@@ -488,16 +489,11 @@ def _facet_map(dim, cones):
 
 def walls(f: Fan) -> tuple[Wall, ...]:
     """All walls of a complete fan, each with its two apex rays."""
-    return derived(f, _walls_raw)
-
-
-def _walls_raw(f: Fan) -> tuple[Wall, ...]:
-    out = []
-    for facet, adjacent in sorted(_facet_map(f.dim, f.max_cones).items()):
-        if len(adjacent) != 2:
-            raise NotComplete(f"wall {facet} bounds {len(adjacent)} maximal cones")
-        out.append(Wall(facet, (adjacent[0][1], adjacent[1][1])))
-    return tuple(out)
+    _, out, open_facets, _ = derived(f, _wall_pass)
+    if open_facets:
+        facet, count = min(open_facets)
+        raise NotComplete(f"wall {facet} bounds {count} maximal cones")
+    return out
 
 
 def wall_lookup(f: Fan, ray_indices) -> Wall:
@@ -535,13 +531,13 @@ def lattice_isomorphism(f: Fan, g: Fan):
         return None
     if not f.max_cones:
         return None
-    det, cols = derived(f, cone_bases)[f.max_cones[0]]
+    det, cols = cone_bases(f)[f.max_cones[0]]
     if cols is None:
         return None
     adj = tuple(zip(*cols))
     g_ray_set = set(g.rays)
     g_cone_set = set(g.max_cones)
-    g_bases = derived(g, cone_bases)
+    g_bases = cone_bases(g)
     for target in g.max_cones:
         # det M = +-det(target) / det, so M is unimodular iff |det(target)| = |det|
         if abs(g_bases[target][0]) != abs(det):

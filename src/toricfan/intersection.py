@@ -60,7 +60,7 @@ def _solve_relation(f: Fan, w: Wall) -> WallRelation:
     its `cone_bases` entry: (u_a2 . col) / det, a ratio free of row order."""
     a1, a2 = w.apexes
     near = tuple(sorted(w.rays + (a1,)))
-    det, cols = derived(f, cone_bases)[near]
+    det, cols = cone_bases(f)[near]
     if cols is None:
         raise NotAWall(f"wall {w} spans a degenerate configuration")
     num = {i: vdot(f.rays[a2], col) for i, col in zip(near, cols)}

@@ -194,7 +194,7 @@ def _rho_rows(f: Fan):
     has det != 0 whenever there is a class, since each wall relation is
     solved in such a cone.
     """
-    sigma0 = next(cone for cone, (det, _) in derived(f, cone_bases).items() if det)
+    sigma0 = next(cone for cone, (det, _) in cone_bases(f).items() if det)
     return tuple(i for i in range(f.n_rays) if i not in sigma0)
 
 

@@ -6,9 +6,11 @@ built on it, `toricfan.lattice.phase_one` and `toricfan.mori._extremal_raw`.
 
 These routines solved the library's cone-basis systems, determinants and
 linear programs before the integer adjugate, the integer-tableau simplex and
-the proof-first extremality test replaced them; they are kept unchanged,
-outside the library, so the tests can run the new code differentially
-against the old.  Only public names of the library are used here.
+the proof-first extremality test replaced them; they are kept, outside the
+library, so the tests can run the new code differentially against the old.
+The only change since is that `phase_one` skips the zero entries of its
+pivot row, which changes no value and no pivot.  Only public names of the
+library are used here.
 """
 
 from fractions import Fraction
@@ -181,13 +183,18 @@ def phase_one(rows, rhs, pivots=None):
             pivots.append(pv)
         tab[leave] = [a / pv for a in tab[leave]]
         b[leave] /= pv
+        # a - f * 0 = a: only the pivot row's non-zero entries change a row
+        support = [(j, c) for j, c in enumerate(tab[leave]) if c != 0]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                row = tab[i]
+                for j, c in support:
+                    row[j] -= f * c
                 b[i] -= f * b[leave]
         f = cost[enter]
-        cost = [a - f * c for a, c in zip(cost, tab[leave])]
+        for j, c in support:
+            cost[j] -= f * c
         value -= f * b[leave]
         basis[leave] = enter
 

@@ -41,12 +41,17 @@ def test_oda_fan_validates(oda):
     assert report.smooth and report.complete and report.proper
 
 
-def test_incomplete_fan_detected(p2):
+def test_incomplete_fan_detected(p2, oda):
     f = Fan(2, p2.rays, p2.max_cones[:2])
     report = validate(f)
     assert not report.complete
     with pytest.raises(NotComplete):
         walls(f)
+    # the report lists the open facets in facet-map order; walls names the least
+    g = Fan(3, oda.fan.rays, oda.fan.max_cones[:7] + oda.fan.max_cones[8:])
+    assert validate(g).failures == tuple(f"wall {w} bounds 1 maximal cones" for w in ((4, 5), (3, 4), (3, 5)))
+    with pytest.raises(NotComplete, match=r"^wall \(3, 4\) bounds 1 maximal cones$"):
+        walls(g)
 
 
 def test_overlapping_cones_not_proper():

@@ -2,7 +2,7 @@
 
 `golden_cli.json` holds what `toric check`, `toric mori`, `toric analyze`,
 `toric ewald blowdown` and `toric ewald tower` printed on stdout, and the
-exit code, for gallery fans and two invalid fixtures, as recorded from an
+exit code, for gallery fans and three invalid fixtures, as recorded from an
 earlier release.  The test runs the same
 commands and compares byte for byte, so a change to any layer the reports
 pass through (validation, wall relations, the LPs, the Ewald lift, the JSON rendering) that
@@ -41,6 +41,7 @@ COMMANDS = (
     ("analyze oda3 blowup 0,1,4 --curve 1,4", "analyze", "oda3 blowup 0,1,4", ("--curve", "1,4")),
     ("check oda3, ray 6 negated", "check", "oda3 negate 6", ()),
     ("check oda3, first cone dropped", "check", "oda3 drop 0", ()),
+    ("check oda3, cone 7 dropped", "check", "oda3 drop 7", ()),
     ("ewald blowdown oda3 --ray 2", "ewald blowdown", "oda3", ("--ray", "2")),
     ("ewald tower oda3 --curve 1,4 --steps 2", "ewald tower", "oda3", ("--curve", "1,4", "--steps", "2")),
 )

@@ -5,7 +5,8 @@ against Fourier-Motzkin elimination on random systems, the pairwise
 fan-property test is cross-checked against a brute-force extreme-ray
 enumeration in dimension three, and the local fan-property criterion of
 `validate` is cross-checked against the all-pairs face test on a seeded
-corpus of complete fans and their mutants.  On the same corpus and the
+corpus of complete fans and their mutants, and on folded data that only its
+side test rejects.  On the same corpus and the
 Ewald tower, the cone-basis table behind the wall relations, the facet
 normals and the generic-point test is cross-checked against the Bareiss
 determinant and rational Gauss-Jordan elimination, and its dual-graph walk
@@ -30,12 +31,13 @@ from fraction_oracle import phase_one as oracle_phase_one
 from toricfan.fan import (
     Fan,
     NotAWall,
+    _covering_number,
     _facet_map,
     _facet_normals,
     _locate,
     _pair_is_face,
+    _wall_pass,
     cone_bases,
-    derived,
     validate,
     walls,
 )
@@ -307,7 +309,7 @@ def test_wall_relations_agree_with_rational_elimination():
 def test_facet_normals_are_scaled_dual_bases():
     checked = non_unimodular = 0
     for f in _differential_corpus() + _tower_levels():
-        for cone, (det, cols) in derived(f, cone_bases).items():
+        for cone, (det, cols) in cone_bases(f).items():
             mat = [f.rays[i] for i in cone]
             assert det == determinant(mat)
             if det == 0:
@@ -370,7 +372,7 @@ def test_walked_cone_bases_agree_with_per_cone_adjugate(monkeypatch):
 
     def walked(f):
         seeds.clear()
-        table = cone_bases(f)
+        table = _wall_pass(f)[0]  # uncached, so that every fan counts its seeds
         assert table == _per_cone_bases(f), f.to_json()
         for cone, basis in table.items():
             assert basis == _oracle_basis([f.rays[i] for i in cone]), f.to_json()
@@ -400,6 +402,53 @@ def test_degree_two_multifan_is_complete_but_not_proper():
     report = validate(f)
     assert report.complete and not report.proper
     assert report.failures == _all_pairs_report(f)[3]
+
+
+def _folded(f):
+    """Check `validate` on complete, non-degenerate data that is not a fan
+    against the oracle; return whether one cone lies over the generic point,
+    so that only the side test, condition (b), can reject the data."""
+    bases = cone_bases(f)
+    assert all(det for det, _ in bases.values())
+    report = validate(f)
+    assert report.complete and not report.proper, f.to_json()
+    assert report.failures == _all_pairs_report(f)[3], f.to_json()
+    return _covering_number(f.rays, f.max_cones, bases) == 1
+
+
+def test_folded_cycle_is_rejected_by_the_side_test_alone():
+    # smooth, winds once and its generic point lies in one cone, but the
+    # cycle folds back: (1, 2) and (2, 3) lie on one side of ray 2, (2, 3)
+    # and (3, 4) on one side of ray 3.  Under some relabelings of the rays
+    # the walk crosses both folds, under others one of them closes a cycle,
+    # so every relabeling is checked.
+    rays = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1))
+    cones = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    up, down = len(rays), len(rays) + 1
+    suspended = Fan(
+        3,
+        tuple(r + (0,) for r in rays) + ((0, 0, 1), (0, 0, -1)),
+        tuple(c + (e,) for c in cones for e in (up, down)),
+    )
+    assert _folded(Fan(2, rays, cones)) and _folded(suspended)
+    alone = 0
+    for perm in itertools.permutations(range(5)):
+        relabeled = [None] * 5
+        for old, new in enumerate(perm):
+            relabeled[new] = rays[old]
+        alone += _folded(Fan(2, relabeled, [[perm[i] for i in c] for c in cones]))
+    assert alone == 72  # the others put the generic point where three cones overlap
+
+
+def test_projective_plane_is_rejected_by_the_side_test_alone():
+    # The six-vertex real projective plane, whose cones all have non-zero
+    # determinant and whose generic point lies in one cone.  On an orientable
+    # complex a fold is always met on a tree edge of the walk, since cones of
+    # both orientations are joined by one; this complex is not orientable,
+    # and here it folds only on walls that close a cycle.
+    rays = ((1, -1, 1), (0, 1, 1), (-1, 0, -1), (0, 1, -2), (-1, -2, -2), (-1, -2, 1))
+    cones = ((0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5))
+    assert _folded(Fan(3, rays, cones))
 
 
 def test_generic_point_moves_off_cone_boundaries():
@@ -439,7 +488,7 @@ def test_locate_numerators_agree_with_cramer_determinants():
     for f in _differential_corpus() + _tower_levels():
         first = [f.rays[i] for i in f.max_cones[0]]
         points = [vsum(vscale(m**k, u) for k, u in enumerate(first)) for m in (2, 3, 4)]
-        for cone, (det, cols) in derived(f, cone_bases).items():
+        for cone, (det, cols) in cone_bases(f).items():
             if det == 0:
                 continue
             mat = [f.rays[i] for i in cone]
